@@ -1,7 +1,6 @@
 #include "cache/binary_protocol.h"
 
 #include <algorithm>
-#include <charconv>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -43,23 +42,30 @@ std::uint64_t get_u64(std::string_view bytes, std::size_t offset) {
          get_u32(bytes, offset + 4);
 }
 
+void append_frame(std::string& out, std::uint8_t magic, Opcode opcode,
+                  std::uint16_t status_or_vbucket, std::uint32_t opaque,
+                  std::uint64_t cas, std::string_view extras,
+                  std::string_view key, std::string_view value) {
+  const std::size_t body = extras.size() + key.size() + value.size();
+  out.reserve(out.size() + kHeaderSize + body);
+  out += static_cast<char>(magic);
+  out += static_cast<char>(opcode);
+  put_u16(out, static_cast<std::uint16_t>(key.size()));
+  out += static_cast<char>(extras.size());
+  out += '\0';  // data type: raw bytes
+  put_u16(out, status_or_vbucket);
+  put_u32(out, static_cast<std::uint32_t>(body));
+  put_u32(out, opaque);
+  put_u64(out, cas);
+  out += extras;
+  out += key;
+  out += value;
+}
+
 std::string encode_frame(const Frame& frame, std::uint8_t magic) {
   std::string out;
-  const std::size_t body =
-      frame.extras.size() + frame.key.size() + frame.value.size();
-  out.reserve(kHeaderSize + body);
-  out += static_cast<char>(magic);
-  out += static_cast<char>(frame.opcode);
-  put_u16(out, static_cast<std::uint16_t>(frame.key.size()));
-  out += static_cast<char>(frame.extras.size());
-  out += '\0';  // data type: raw bytes
-  put_u16(out, frame.status_or_vbucket);
-  put_u32(out, static_cast<std::uint32_t>(body));
-  put_u32(out, frame.opaque);
-  put_u64(out, frame.cas);
-  out += frame.extras;
-  out += frame.key;
-  out += frame.value;
+  append_frame(out, magic, frame.opcode, frame.status_or_vbucket,
+               frame.opaque, frame.cas, frame.extras, frame.key, frame.value);
   return out;
 }
 
@@ -102,151 +108,128 @@ using binary::Frame;
 using binary::Opcode;
 using binary::Status;
 
-std::string BinaryProtocolSession::respond(const Frame& request,
-                                           Status status, std::string extras,
-                                           std::string key, std::string value,
-                                           std::uint64_t cas) const {
-  Frame reply;
-  reply.opcode = request.opcode;
-  reply.status_or_vbucket = static_cast<std::uint16_t>(status);
-  reply.opaque = request.opaque;  // echoed for client correlation
-  reply.cas = cas;
-  reply.extras = std::move(extras);
-  reply.key = std::move(key);
-  reply.value = std::move(value);
-  return encode_frame(reply, binary::kResponseMagic);
+namespace {
+
+// The binary status of an outcome (docs/PROTOCOL.md "Executor outcomes").
+Status status_of(Outcome outcome) {
+  switch (outcome) {
+    case Outcome::kOk: return Status::kOk;
+    case Outcome::kNotFound: return Status::kKeyNotFound;
+    case Outcome::kExists: return Status::kKeyExists;
+    case Outcome::kNotNumeric: return Status::kDeltaBadValue;
+    case Outcome::kStaleEpoch: return Status::kStaleEpoch;
+    case Outcome::kBadChecksum: return Status::kBadChecksum;
+    case Outcome::kReservedKey: return Status::kNotStored;
+    case Outcome::kBadEpochValue: return Status::kInvalidArguments;
+    case Outcome::kTooLarge: return Status::kValueTooLarge;
+    case Outcome::kOverloaded: return Status::kBusy;
+  }
+  return Status::kUnknownCommand;
+}
+
+StoreMode store_mode(Opcode opcode) {
+  return opcode == Opcode::kAdd       ? StoreMode::kAdd
+         : opcode == Opcode::kReplace ? StoreMode::kReplace
+                                      : StoreMode::kSet;
+}
+
+// Declared value length of the frame whose header starts `bytes` (at least
+// kHeaderSize long): total_body minus key and extras, 0 when inconsistent.
+std::size_t declared_value_length(std::string_view bytes) {
+  const std::uint32_t total_body = binary::get_u32(bytes, 8);
+  const std::uint32_t fixed =
+      binary::get_u16(bytes, 2) + static_cast<std::uint8_t>(bytes[4]);
+  return total_body > fixed ? total_body - fixed : 0;
+}
+
+}  // namespace
+
+void BinaryProtocolSession::respond(std::string& out, const Frame& request,
+                                    Status status, std::string_view extras,
+                                    std::string_view key,
+                                    std::string_view value,
+                                    std::uint64_t cas) const {
+  // The opaque is echoed for client correlation.
+  binary::append_frame(out, binary::kResponseMagic, request.opcode,
+                       static_cast<std::uint16_t>(status), request.opaque, cas,
+                       extras, key, value);
 }
 
 std::string BinaryProtocolSession::feed(std::string_view bytes, SimTime now) {
   if (closed_) return {};
   buffer_.append(bytes);
   std::string out;
-  // The pipeline cap is per shard per feed() batch (one slot in bare mode).
-  std::fill(served_.begin(), served_.end(), 0);
-  for (;;) {
-    const SimTime parse_start = spans_ != nullptr ? obs::span_clock_now() : 0;
+  exec_.begin_batch();  // the pipeline cap is per shard per feed() batch
+  // Parse offset into buffer_: consumed bytes are dropped once, at the end.
+  std::size_t pos = 0;
+  while (!closed_) {
+    const std::string_view rest = std::string_view(buffer_).substr(pos);
+    if (discard_ > 0) {
+      // Skipping the body of a refused oversized frame.
+      const std::size_t n = std::min(discard_, rest.size());
+      pos += n;
+      discard_ -= n;
+      if (discard_ > 0) break;
+      continue;
+    }
+    if (rest.size() >= binary::kHeaderSize &&
+        !exec_.fits(declared_value_length(rest))) {
+      // Refused on its header alone: the body is skipped, never buffered.
+      Frame header;
+      header.opcode = static_cast<Opcode>(rest[1]);
+      header.opaque = binary::get_u32(rest, 12);
+      respond(out, header, status_of(Outcome::kTooLarge));
+      discard_ = binary::get_u32(rest, 8);
+      pos += binary::kHeaderSize;
+      continue;
+    }
+    const SimTime parse_start = exec_.tracing() ? obs::span_clock_now() : 0;
     std::size_t consumed = 0;
-    auto frame = binary::decode_frame(buffer_, consumed);
+    auto frame = binary::decode_frame(rest, consumed);
     if (!frame.has_value()) break;
-    buffer_.erase(0, consumed);
+    pos += consumed;
     // The opaque field doubles as the (32-bit) wire trace id.
-    const std::uint64_t tid = spans_ != nullptr ? frame->opaque : 0;
+    const std::uint64_t tid = exec_.traced(frame->opaque);
     if (tid != 0) {
       last_trace_id_ = tid;
-      obs::SpanRecord s;
-      s.trace_id = tid;
-      s.span_id = spans_->next_id();
-      s.kind = obs::SpanKind::kServerParse;
-      s.start_us = parse_start;
-      s.duration_us = obs::span_clock_now() - parse_start;
-      s.server = server_id_;
-      spans_->record(std::move(s));
+      exec_.record_span(tid, obs::SpanKind::kServerParse, parse_start);
     }
-    // Pipeline cap: cache-touching frames beyond the per-batch budget get
+    // Pipeline cap: cache-touching frames beyond the per-shard budget get
     // EBUSY (the frame is already consumed, so the stream stays in sync).
     // Quit/noop/version are exempt — free, and quit must always work. A
-    // frame refused here never attempts its shard lock, so it can never
-    // also count as a deadline shed.
+    // frame accounts against its key's shard; keyless frames (stat, flush)
+    // against shard 0.
     const bool cache_touching = frame->magic == binary::kRequestMagic &&
                                 frame->opcode != Opcode::kQuit &&
                                 frame->opcode != Opcode::kNoop &&
                                 frame->opcode != Opcode::kVersion;
-    // The budget is per shard: a frame accounts against its key's shard;
-    // keyless frames (stat, flush) against shard 0.
-    std::size_t batch_shard = 0;
-    if (engine_ != nullptr && !frame->key.empty()) {
-      batch_shard = engine_->shard_index(frame->key);
-    }
-    if (cache_touching && pipeline_.max_per_batch > 0 &&
-        served_[batch_shard] >= pipeline_.max_per_batch) {
-      if (pipeline_.sheds != nullptr) {
-        pipeline_.sheds->fetch_add(1, std::memory_order_relaxed);
-      }
-      out += respond(*frame, Status::kBusy);
+    if (cache_touching && !exec_.admit(frame->key)) {
+      respond(out, *frame, status_of(Outcome::kOverloaded));
       continue;
     }
-    if (cache_touching) ++served_[batch_shard];
     const SimTime op_start = tid != 0 ? obs::span_clock_now() : 0;
-    out += handle(*frame, now, tid);
-    if (tid != 0) {
-      obs::SpanRecord s;
-      s.trace_id = tid;
-      s.span_id = spans_->next_id();
-      s.kind = obs::SpanKind::kServerOp;
-      s.start_us = op_start;
-      s.duration_us = obs::span_clock_now() - op_start;
-      s.server = server_id_;
-      s.key = frame->key;
-      spans_->record(std::move(s));
-    }
-    if (closed_) break;
+    const Outcome outcome = handle(*frame, now, tid, out);
+    exec_.record_span(tid, obs::SpanKind::kServerOp, op_start,
+                      CommandExecutor::span_cause(outcome), frame->key);
   }
+  buffer_.erase(0, pos);
   return out;
 }
 
-CacheServer* BinaryProtocolSession::acquire(std::string_view key,
-                                            ShardedCacheServer::Guard& guard,
-                                            std::uint64_t tid) {
-  if (engine_ == nullptr) return single_;
-  const std::size_t idx = engine_->shard_index(key);
-  const SimTime wait_start = tid != 0 ? obs::span_clock_now() : 0;
-  guard = engine_->lock_shard_for(idx, pipeline_.lock_deadline_us);
-  const bool timed_out = !guard.owns_lock();
-  if (tid != 0) {
-    // Lock-wait spans carry the key so proteus-spans can attribute
-    // contention to the shard that owns it.
-    obs::SpanRecord s;
-    s.trace_id = tid;
-    s.span_id = spans_->next_id();
-    s.kind = obs::SpanKind::kServerLockWait;
-    s.cause = timed_out ? obs::SpanCause::kShed : obs::SpanCause::kNone;
-    s.start_us = wait_start;
-    s.duration_us = obs::span_clock_now() - wait_start;
-    s.server = server_id_;
-    s.key = std::string(key.substr(0, 64));
-    spans_->record(std::move(s));
-  }
-  if (timed_out) {
-    if (pipeline_.deadline_sheds != nullptr) {
-      pipeline_.deadline_sheds->fetch_add(1, std::memory_order_relaxed);
-    }
-    return nullptr;
-  }
-  return &engine_->shard(idx);
-}
-
-bool BinaryProtocolSession::admit_epoch(std::uint64_t epoch) {
-  return engine_ != nullptr ? engine_->admit_epoch(epoch)
-                            : single_->admit_epoch(epoch);
-}
-
-bool BinaryProtocolSession::adopt_epoch(std::uint64_t epoch) {
-  return engine_ != nullptr ? engine_->adopt_epoch(epoch)
-                            : single_->adopt_epoch(epoch);
-}
-
-void BinaryProtocolSession::observe_epoch(std::uint64_t epoch) {
-  if (engine_ != nullptr) {
-    engine_->observe_epoch(epoch);
-  } else {
-    single_->observe_epoch(epoch);
-  }
-}
-
-std::string BinaryProtocolSession::handle(const Frame& request, SimTime now,
-                                          std::uint64_t tid) {
-  if (request.magic != binary::kRequestMagic) {
-    return respond(request, Status::kInvalidArguments);
-  }
-
+Outcome BinaryProtocolSession::handle(Frame& request, SimTime now,
+                                      std::uint64_t trace_id,
+                                      std::string& out) {
+  // Malformed requests are answered here; the executor never sees them.
+  const auto invalid = [&] {
+    respond(out, request, Status::kInvalidArguments);
+    return Outcome::kOk;
+  };
+  if (request.magic != binary::kRequestMagic) return invalid();
   // The request vbucket field carries the cluster epoch saturated to 16
   // bits. A saturated stamp (0xffff) is indeterminate — it can never be
-  // proven stale, so it passes without teaching the server.
-  const auto admit_wire_epoch = [&]() -> bool {
-    const std::uint64_t stamp = request.status_or_vbucket;
-    if (stamp >= 0xffff) return true;
-    return admit_epoch(stamp);
-  };
+  // proven stale — so it decodes as unstamped: it passes without teaching.
+  const std::uint64_t epoch =
+      request.status_or_vbucket == 0xffff ? 0 : request.status_or_vbucket;
 
   switch (request.opcode) {
     case Opcode::kGet:
@@ -261,46 +244,22 @@ std::string BinaryProtocolSession::handle(const Frame& request, SimTime now,
       // opt into checksum echo.
       const bool want_checksum = request.extras.size() == 4;
       if (request.key.empty() || (!request.extras.empty() && !want_checksum)) {
-        return respond(request, Status::kInvalidArguments);
+        return invalid();
       }
-      if (request.status_or_vbucket < 0xffff) {
-        observe_epoch(request.status_or_vbucket);
-      }
-      if (engine_ != nullptr &&
-          ShardedCacheServer::is_reserved_key(request.key)) {
-        // Admin reads (digest blob, epoch hello) are served by the engine's
-        // merged/broadcast paths without a shard lock — wire bytes
-        // identical to the single-cache build (§V-3).
-        auto value = engine_->get(request.key, now);
-        if (!value.has_value()) {
-          return quiet ? std::string{}
-                       : respond(request, Status::kKeyNotFound);
+      const Outcome outcome = exec_.get(request.key, epoch, now, trace_id, hit_);
+      if (outcome == Outcome::kOk) {
+        std::string extras;  // flags(4), widened by crc32c(4) on echo
+        binary::put_u32(extras, hit_.meta.flags);
+        if (want_checksum && hit_.meta.crc.has_value()) {
+          binary::put_u32(extras, *hit_.meta.crc);
         }
-        std::string extras;
-        binary::put_u32(extras, 0);  // reserved keys carry no flags
-        return respond(request, Status::kOk, std::move(extras),
-                       with_key ? request.key : std::string{},
-                       std::move(*value));
+        respond(out, request, Status::kOk, extras,
+                with_key ? std::string_view(request.key) : std::string_view{},
+                hit_.value, hit_.meta.cas);
+      } else if (!(quiet && outcome == Outcome::kNotFound)) {
+        respond(out, request, status_of(outcome));  // quiet gets hide misses
       }
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(request.key, guard, tid);
-      if (cache == nullptr) return respond(request, Status::kBusy);
-      auto value = cache->get(request.key, now);
-      if (!value.has_value()) {
-        return quiet ? std::string{}  // quiet gets suppress misses
-                     : respond(request, Status::kKeyNotFound);
-      }
-      std::string extras;
-      binary::put_u32(extras, cache->flags_of(request.key, now).value_or(0));
-      if (want_checksum) {
-        if (const auto crc = cache->checksum_of(request.key, now);
-            crc.has_value()) {
-          binary::put_u32(extras, *crc);  // extras widen to flags + crc
-        }
-      }
-      return respond(request, Status::kOk, std::move(extras),
-                     with_key ? request.key : std::string{},
-                     std::move(*value), cache->cas_of(request.key, now));
+      return outcome;
     }
 
     case Opcode::kSet:
@@ -310,178 +269,96 @@ std::string BinaryProtocolSession::handle(const Frame& request, SimTime now,
       // the client stamps an end-to-end checksum.
       const bool stamped = request.extras.size() == 12;
       if ((request.extras.size() != 8 && !stamped) || request.key.empty()) {
-        return respond(request, Status::kInvalidArguments);
+        return invalid();
       }
-      std::optional<std::uint32_t> crc;
-      if (stamped) {
-        crc = binary::get_u32(request.extras, 8);
-        if (crc32c(request.value) != *crc) {
-          // The value rotted between the client's stamp and here: refuse
-          // rather than store bad bytes (the client re-sends). The reject
-          // note mutates shard stats, so it needs the shard lock.
-          ShardedCacheServer::Guard guard;
-          CacheServer* cache = acquire(request.key, guard, tid);
-          if (cache == nullptr) return respond(request, Status::kBusy);
-          cache->note_corrupt_set_reject(now, request.key);
-          return respond(request, Status::kBadChecksum);
-        }
-      }
-      if (request.key == kEpochKey) {
-        // Epoch adoption: value is the decimal epoch (text-protocol parity).
-        std::uint64_t proposed = 0;
-        const char* end = request.value.data() + request.value.size();
-        const auto [ptr, ec] =
-            std::from_chars(request.value.data(), end, proposed);
-        if (request.opcode != Opcode::kSet || ec != std::errc() ||
-            ptr != end) {
-          return respond(request, Status::kInvalidArguments);
-        }
-        return respond(request, adopt_epoch(proposed) ? Status::kOk
-                                                      : Status::kStaleEpoch);
-      }
-      if (!admit_wire_epoch()) {
-        return respond(request, Status::kStaleEpoch);
-      }
-      if (request.key == kSetBloomFilterKey ||
-          request.key == kGetBloomFilterKey) {
-        return respond(request, Status::kNotStored);  // digest is read-only
-      }
-      const std::uint32_t flags = binary::get_u32(request.extras, 0);
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(request.key, guard, tid);
-      if (cache == nullptr) return respond(request, Status::kBusy);
-      const bool exists = cache->contains(request.key, now);
-      if (request.opcode == Opcode::kAdd && exists) {
-        return respond(request, Status::kKeyExists);
-      }
-      if (request.opcode == Opcode::kReplace && !exists) {
-        return respond(request, Status::kKeyNotFound);
-      }
-      if (request.cas != 0) {
-        // CAS-conditional store.
-        switch (cache->compare_and_swap(request.key, request.value, now,
-                                        request.cas, 0, flags, crc)) {
-          case CacheServer::CasResult::kNotFound:
-            return respond(request, Status::kKeyNotFound);
-          case CacheServer::CasResult::kExists:
-            return respond(request, Status::kKeyExists);
-          case CacheServer::CasResult::kStored:
-            break;
-        }
-      } else {
-        cache->set(request.key, request.value, now, 0, flags, crc);
-      }
-      return respond(request, Status::kOk, {}, {}, {},
-                     cache->cas_of(request.key, now));
+      StoreCommand store;
+      store.mode = store_mode(request.opcode);
+      store.key = request.key;
+      store.value = std::move(request.value);
+      store.flags = binary::get_u32(request.extras, 0);
+      if (stamped) store.crc = binary::get_u32(request.extras, 8);
+      store.cas = request.cas;
+      store.epoch = epoch;
+      std::uint64_t cas = 0;
+      const Outcome outcome = exec_.store(std::move(store), now, trace_id, &cas);
+      respond(out, request, status_of(outcome), {}, {}, {}, cas);
+      return outcome;
     }
 
     case Opcode::kDelete: {
-      if (request.key.empty()) {
-        return respond(request, Status::kInvalidArguments);
-      }
-      if (!admit_wire_epoch()) {
-        return respond(request, Status::kStaleEpoch);
-      }
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(request.key, guard, tid);
-      if (cache == nullptr) return respond(request, Status::kBusy);
-      return respond(request, cache->erase(request.key)
-                                  ? Status::kOk
-                                  : Status::kKeyNotFound);
+      if (request.key.empty()) return invalid();
+      const Outcome outcome = exec_.erase(request.key, epoch, trace_id);
+      respond(out, request, status_of(outcome));
+      return outcome;
     }
 
     case Opcode::kIncrement:
     case Opcode::kDecrement: {
       // Extras: delta(8) initial(8) expiry(4).
-      if (request.extras.size() != 20 || request.key.empty()) {
-        return respond(request, Status::kInvalidArguments);
+      if (request.extras.size() != 20 || request.key.empty()) return invalid();
+      CounterCommand counter;
+      counter.key = request.key;
+      counter.increment = request.opcode == Opcode::kIncrement;
+      counter.delta = binary::get_u64(request.extras, 0);
+      // 0xffffffff expiry means "do not create" per the protocol.
+      if (binary::get_u32(request.extras, 16) != 0xffffffffu) {
+        counter.initial = binary::get_u64(request.extras, 8);
       }
-      const std::uint64_t delta = binary::get_u64(request.extras, 0);
-      const std::uint64_t initial = binary::get_u64(request.extras, 8);
-      const std::uint32_t expiry = binary::get_u32(request.extras, 16);
-      // The guard spans the get+set pair: incr/decr stays atomic per shard.
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(request.key, guard, tid);
-      if (cache == nullptr) return respond(request, Status::kBusy);
-      auto value = cache->get(request.key, now);
-      std::uint64_t next;
-      if (!value.has_value()) {
-        // 0xffffffff expiry means "do not create" per the protocol.
-        if (expiry == 0xffffffffu) {
-          return respond(request, Status::kKeyNotFound);
-        }
-        next = initial;
+      std::uint64_t value = 0;
+      std::uint64_t cas = 0;
+      const Outcome outcome = exec_.counter(counter, now, trace_id, value, cas);
+      if (outcome == Outcome::kOk) {
+        std::string payload;
+        binary::put_u64(payload, value);
+        respond(out, request, Status::kOk, {}, {}, payload, cas);
       } else {
-        std::uint64_t current = 0;
-        const char* end = value->data() + value->size();
-        const auto [ptr, ec] = std::from_chars(value->data(), end, current);
-        if (ec != std::errc() || ptr != end) {
-          return respond(request, Status::kDeltaBadValue);
-        }
-        if (request.opcode == Opcode::kIncrement) {
-          next = current + delta;
-        } else {
-          next = current > delta ? current - delta : 0;
-        }
+        respond(out, request, status_of(outcome));
       }
-      cache->set(request.key, std::to_string(next), now);
-      std::string payload;
-      binary::put_u64(payload, next);
-      return respond(request, Status::kOk, {}, {}, std::move(payload),
-                     cache->cas_of(request.key, now));
+      return outcome;
     }
 
     case Opcode::kFlush:
-      // Engine flush is a fan-out under every shard lock (atomic across
-      // shards); the session itself holds none of them here.
-      if (engine_ != nullptr) {
-        engine_->flush();
-      } else {
-        single_->flush();
-      }
-      return respond(request, Status::kOk);
+      exec_.flush();
+      respond(out, request, Status::kOk);
+      return Outcome::kOk;
 
     case Opcode::kNoop:
-      return respond(request, Status::kOk);
+      respond(out, request, Status::kOk);
+      return Outcome::kOk;
 
     case Opcode::kVersion:
-      return respond(request, Status::kOk, {}, {}, "proteus-1.0");
+      respond(out, request, Status::kOk, {}, {}, "proteus-1.0");
+      return Outcome::kOk;
 
     case Opcode::kQuit:
       closed_ = true;
-      return respond(request, Status::kOk);
+      respond(out, request, Status::kOk);
+      return Outcome::kOk;
 
     case Opcode::kStat: {
       // Minimal STAT: one (name, value) response per statistic, terminated
-      // by an empty-key frame, per the protocol. Engine mode reports the
-      // merged view across shards (internally locked, one at a time).
-      const bool sharded = engine_ != nullptr;
-      const CacheStats s = sharded ? engine_->stats() : single_->stats();
-      std::string out;
+      // by an empty-key frame, per the protocol.
+      const StatsSnapshot s = exec_.stats();
       const auto stat = [&](std::string_view name, std::uint64_t v) {
-        out += respond(request, Status::kOk, {}, std::string(name),
-                       std::to_string(v));
+        respond(out, request, Status::kOk, {}, name, std::to_string(v));
       };
-      stat("cmd_get", s.gets);
-      stat("get_hits", s.hits);
-      stat("get_misses", s.misses);
-      stat("cmd_set", s.sets);
-      stat("evictions", s.evictions);
-      stat("curr_items",
-           sharded ? engine_->item_count() : single_->item_count());
-      stat("bytes", sharded ? engine_->bytes_used() : single_->bytes_used());
-      stat("cluster_epoch",
-           sharded ? engine_->cluster_epoch() : single_->cluster_epoch());
-      stat("incarnation",
-           sharded ? engine_->incarnation() : single_->incarnation());
-      stat("stale_epoch_rejects", sharded ? engine_->stale_epoch_rejects()
-                                          : single_->stale_epoch_rejects());
-      out += respond(request, Status::kOk);  // terminator
-      return out;
+      stat("cmd_get", s.counters.gets);
+      stat("get_hits", s.counters.hits);
+      stat("get_misses", s.counters.misses);
+      stat("cmd_set", s.counters.sets);
+      stat("evictions", s.counters.evictions);
+      stat("curr_items", s.items);
+      stat("bytes", s.bytes);
+      stat("cluster_epoch", s.cluster_epoch);
+      stat("incarnation", s.incarnation);
+      stat("stale_epoch_rejects", s.stale_epoch_rejects);
+      respond(out, request, Status::kOk);  // terminator
+      return Outcome::kOk;
     }
 
     default:
-      return respond(request, Status::kUnknownCommand);
+      respond(out, request, Status::kUnknownCommand);
+      return Outcome::kOk;
   }
 }
 

@@ -1,4 +1,4 @@
-// Memcached binary protocol front end for CacheServer.
+// Memcached binary protocol front end over the sharded cache engine.
 //
 // The paper validated wire compatibility against spymemcached (§V-3),
 // which speaks the memcached binary protocol. This module implements the
@@ -13,7 +13,12 @@
 //   vbucket-or-status(2) total_body(4) opaque(4) cas(8)
 // followed by extras | key | value. Requests use magic 0x80, responses
 // 0x81. The session is push-parsed like the text variant: feed() accepts
-// arbitrary chunks and emits complete response frames.
+// arbitrary chunks and emits complete response frames. It only frames,
+// decodes and encodes: what each request does is decided by the
+// CommandExecutor (command_executor.h) the text session shares. A frame
+// whose value (total_body minus key and extras) is longer than the cache's
+// whole budget is answered Status::kValueTooLarge and its body is skipped
+// without being buffered.
 //
 // The reserved digest keys (SET_BLOOM_FILTER / BLOOM_FILTER) work through
 // binary GET exactly as through text GET, so a binary client can drive the
@@ -31,7 +36,8 @@
 // couchbase — carries the cluster epoch saturated to 0xffff. A mutation
 // stamped below the server's epoch gets Status::kStaleEpoch; stamp 0 means
 // "unstamped" (stock client) and always passes, and the 0xffff saturation
-// point is treated as indeterminate-but-current. The reserved key
+// point is indeterminate, so it decodes as unstamped. The fence is checked
+// before the checksum, as on the text wire. The reserved key
 // PROTEUS_EPOCH serves the full 64-bit epoch + incarnation via GET and
 // adopts a decimal epoch via SET, exactly as in the text protocol.
 //
@@ -50,7 +56,7 @@
 #include <string_view>
 #include <vector>
 
-#include "cache/cache_server.h"
+#include "cache/command_executor.h"
 #include "cache/pipeline_policy.h"
 #include "cache/sharded_cache.h"
 #include "common/time.h"
@@ -114,6 +120,11 @@ struct Frame {
 
 // Serializes a frame with the given magic byte.
 std::string encode_frame(const Frame& frame, std::uint8_t magic);
+// Appends one frame to `out` without building a Frame first.
+void append_frame(std::string& out, std::uint8_t magic, Opcode opcode,
+                  std::uint16_t status_or_vbucket, std::uint32_t opaque,
+                  std::uint64_t cas, std::string_view extras,
+                  std::string_view key, std::string_view value);
 
 // Parses one complete frame from the front of `bytes`; returns nullopt if
 // more bytes are needed. On success, `consumed` is the frame length.
@@ -130,39 +141,22 @@ std::uint64_t get_u64(std::string_view bytes, std::size_t offset);
 
 }  // namespace binary
 
+// One client connection worth of protocol state over a ShardedCacheServer:
+// each frame routes to its key's shard and takes only that shard's mutex
+// (see command_executor.h).
 class BinaryProtocolSession {
  public:
-  // `spans` (optional) records server-side parse/op spans for frames whose
-  // opaque field carries a trace id; `server_id` tags them with this
-  // daemon's fleet index (-1 = unknown). Both must outlive the session.
-  // `pipeline` caps cache-touching frames per feed() batch (see
-  // cache/pipeline_policy.h); excess frames are answered with EBUSY.
-  explicit BinaryProtocolSession(CacheServer& server,
-                                 obs::SpanCollector* spans = nullptr,
-                                 int server_id = -1,
-                                 PipelinePolicy pipeline = {})
-      : single_(&server),
-        spans_(spans),
-        server_id_(server_id),
-        pipeline_(pipeline),
-        served_(1, 0) {}
-
-  // Engine-mode session: each frame routes to its key's shard and takes
-  // ONLY that shard's mutex, bounded by `pipeline.lock_deadline_us` (0 =
-  // wait forever); a timed-out frame is answered EBUSY and counted in
-  // `pipeline.deadline_sheds`. The pipeline cap becomes per shard per
-  // batch. Reserved digest/epoch keys are served by the engine's
-  // merged/broadcast paths, so the wire bytes are identical to the
-  // single-cache build (§V-3).
+  // `spans` (optional) records server-side parse/op/lock-wait spans for
+  // frames whose opaque field carries a trace id; `server_id` tags them
+  // with this daemon's fleet index (-1 = unknown). Both must outlive the
+  // session. `pipeline` caps cache-touching frames per shard per feed()
+  // batch and bounds each shard-lock wait (cache/pipeline_policy.h); a shed
+  // frame is answered EBUSY.
   explicit BinaryProtocolSession(ShardedCacheServer& engine,
                                  obs::SpanCollector* spans = nullptr,
                                  int server_id = -1,
                                  PipelinePolicy pipeline = {})
-      : engine_(&engine),
-        spans_(spans),
-        server_id_(server_id),
-        pipeline_(pipeline),
-        served_(static_cast<std::size_t>(engine.num_shards()), 0) {}
+      : exec_(engine, pipeline, spans, server_id) {}
 
   // Feeds raw bytes; returns any complete response frames.
   std::string feed(std::string_view bytes, SimTime now);
@@ -175,33 +169,20 @@ class BinaryProtocolSession {
   std::uint64_t last_trace_id() const noexcept { return last_trace_id_; }
 
  private:
-  std::string handle(const binary::Frame& request, SimTime now,
-                     std::uint64_t tid);
-  std::string respond(const binary::Frame& request, binary::Status status,
-                      std::string extras = {}, std::string key = {},
-                      std::string value = {}, std::uint64_t cas = 0) const;
-  // Engine mode: locks `key`'s shard under pipeline_.lock_deadline_us (0 =
-  // wait forever), records the kServerLockWait span, and returns the shard
-  // cache — or nullptr after counting one deadline shed on timeout. Bare
-  // mode: returns the single cache with no locking.
-  CacheServer* acquire(std::string_view key, ShardedCacheServer::Guard& guard,
-                       std::uint64_t tid);
-  // Epoch fencing dispatch: engine atomics in engine mode (the fence is
-  // fleet-wide, never per shard), the single cache otherwise.
-  bool admit_epoch(std::uint64_t epoch);
-  bool adopt_epoch(std::uint64_t epoch);
-  void observe_epoch(std::uint64_t epoch);
+  // Executes one decoded request, appending its response frame(s).
+  Outcome handle(binary::Frame& request, SimTime now, std::uint64_t trace_id,
+                 std::string& out);
+  void respond(std::string& out, const binary::Frame& request,
+               binary::Status status, std::string_view extras = {},
+               std::string_view key = {}, std::string_view value = {},
+               std::uint64_t cas = 0) const;
 
-  CacheServer* single_ = nullptr;         // bare mode (exactly one is set)
-  ShardedCacheServer* engine_ = nullptr;  // engine mode
-  obs::SpanCollector* spans_ = nullptr;
-  int server_id_ = -1;
-  PipelinePolicy pipeline_;
-  // Cache-touching frames served this feed(), per shard (one slot in bare
-  // mode) — the pipeline cap's per-shard budget.
-  std::vector<int> served_;
+  CommandExecutor exec_;
+  Hit hit_;  // reused by every get, so a hit copies into retained capacity
   std::uint64_t last_trace_id_ = 0;
   std::string buffer_;
+  // Body bytes of a refused oversized frame still to skip.
+  std::size_t discard_ = 0;
   bool closed_ = false;
 };
 

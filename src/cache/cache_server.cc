@@ -85,7 +85,6 @@ bool CacheServer::expired(const Item& item, SimTime now) const noexcept {
 std::optional<std::string> CacheServer::get(std::string_view key, SimTime now) {
   PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
                     "get() on a powered-off cache server");
-
   // Reserved digest protocol keys travel through the normal get path so any
   // memcached client library can drive them (§V-3).
   if (key == kSetBloomFilterKey) {
@@ -98,42 +97,53 @@ std::optional<std::string> CacheServer::get(std::string_view key, SimTime now) {
     if (pending_snapshot_.empty()) pending_snapshot_ = serialize_snapshot();
     return pending_snapshot_;
   }
-  if (key == kEpochKey) {
-    ++stats_.admin_gets;
-    return std::to_string(cluster_epoch_) + " " + std::to_string(incarnation_);
-  }
+  std::string value;
+  ItemMeta meta;
+  if (!read(key, now, value, meta)) return std::nullopt;
+  return value;
+}
 
+bool CacheServer::read(std::string_view key, SimTime now, std::string& value,
+                       ItemMeta& meta) {
+  PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
+                    "get() on a powered-off cache server");
   ++stats_.gets;
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    return std::nullopt;
+    return false;
   }
-  if (expired(*it->second, now)) {
+  Item& item = *it->second;
+  if (expired(item, now)) {
     ++stats_.expirations;
     ++stats_.misses;
     obs::emit(config_.trace, now, obs::TraceEventKind::kTtlExpiry,
               config_.trace_server_id, -1, 1, key);
     unlink(it->second);
-    return std::nullopt;
+    return false;
   }
   // End-to-end integrity: items stamped with a CRC32C at SET time are
   // re-verified on every serve. A mismatch means the bytes rotted at rest
   // (or were corrupted on the inbound wire past the parser): drop the item
   // and answer a miss so corrupt data never reaches a caller — the client
   // read-repairs from the database.
-  if (it->second->has_crc && crc32c(it->second->value) != it->second->crc) {
+  if (item.has_crc && crc32c(item.value) != item.crc) {
     ++stats_.corrupt_drops;
     ++stats_.misses;
     obs::emit(config_.trace, now, obs::TraceEventKind::kCorruption,
               config_.trace_server_id, -1, /*n=at-rest*/ 1, key);
     unlink(it->second);
-    return std::nullopt;
+    return false;
   }
   ++stats_.hits;
-  it->second->last_access = now;
+  item.last_access = now;
   touch_lru(it->second);
-  return it->second->value;
+  value.assign(item.value);
+  meta.flags = item.flags;
+  meta.cas = item.cas;
+  meta.crc = item.has_crc ? std::optional<std::uint32_t>(item.crc)
+                          : std::nullopt;
+  return true;
 }
 
 void CacheServer::set(std::string_view key, std::string value, SimTime now,
@@ -191,13 +201,6 @@ void CacheServer::flush() {
 bool CacheServer::contains(std::string_view key, SimTime now) const {
   auto it = index_.find(key);
   return it != index_.end() && !expired(*it->second, now);
-}
-
-std::optional<std::uint32_t> CacheServer::flags_of(std::string_view key,
-                                                   SimTime now) const {
-  auto it = index_.find(key);
-  if (it == index_.end() || expired(*it->second, now)) return std::nullopt;
-  return it->second->flags;
 }
 
 std::uint64_t CacheServer::cas_of(std::string_view key, SimTime now) const {

@@ -41,7 +41,9 @@ inline constexpr std::string_view kGetBloomFilterKey = "BLOOM_FILTER";
 // Epoch/incarnation admin key: `get PROTEUS_EPOCH` answers
 // "<cluster_epoch> <incarnation>"; `set PROTEUS_EPOCH` with a decimal epoch
 // payload adopts it (or is rejected as stale). Wire compatible with stock
-// memcached clients, like the digest keys above.
+// memcached clients, like the digest keys above. The epoch is a fleet-wide
+// fencing token, so it is served by the engine (sharded_cache.h), never by
+// one CacheServer.
 inline constexpr std::string_view kEpochKey = "PROTEUS_EPOCH";
 
 enum class PowerState {
@@ -75,6 +77,13 @@ struct CacheStats {
   double hit_ratio() const noexcept {
     return gets ? static_cast<double>(hits) / static_cast<double>(gets) : 0.0;
   }
+};
+
+// Per-item metadata the wire protocols report alongside a value.
+struct ItemMeta {
+  std::uint32_t flags = 0;
+  std::uint64_t cas = 0;
+  std::optional<std::uint32_t> crc;  // set only for items stored with one
 };
 
 struct CacheConfig {
@@ -125,6 +134,12 @@ class CacheServer {
   // Intercepts the reserved digest keys per the memcached protocol.
   std::optional<std::string> get(std::string_view key, SimTime now);
 
+  // Data-plane get into caller-owned storage (no reserved-key interception):
+  // on a hit copies the value into `value`, reusing its capacity, fills
+  // `meta` from the same lookup and returns true. Same accounting as get().
+  bool read(std::string_view key, SimTime now, std::string& value,
+            ItemMeta& meta);
+
   // Stores (key, value); `charge` overrides the accounted value size so a
   // simulation can model 4 KB pages without materialising 4 KB payloads.
   // `flags` are opaque client metadata round-tripped by the memcached
@@ -135,9 +150,6 @@ class CacheServer {
   void set(std::string_view key, std::string value, SimTime now,
            std::size_t charge = 0, std::uint32_t flags = 0,
            std::optional<std::uint32_t> crc = std::nullopt);
-
-  // Client flags stored with the item, or nullopt if absent/expired.
-  std::optional<std::uint32_t> flags_of(std::string_view key, SimTime now) const;
 
   // CRC32C stored with the item at SET time, or nullopt if the item is
   // absent/expired or was stored without one (stock client).
@@ -168,43 +180,6 @@ class CacheServer {
   // The §IV-A broadcast operation: CBF -> plain bloom snapshot.
   bloom::BloomFilter snapshot_digest() const { return digest_.snapshot(); }
 
-  // --- epoch fencing --------------------------------------------------------
-  // The cluster epoch acts as a fencing token: mutations stamped with an
-  // epoch older than the highest this server has seen are rejected
-  // (`SERVER_ERROR stale-epoch` on the wire), so a web server routing on a
-  // pre-resize view can never write into a draining or re-owned key range.
-  std::uint64_t cluster_epoch() const noexcept { return cluster_epoch_; }
-  // Admits a request stamped with `epoch`: 0 (unstamped, stock client)
-  // always passes; a stamp below the current epoch is counted and refused;
-  // a newer stamp is adopted (the request also teaches the server).
-  bool admit_epoch(std::uint64_t epoch) noexcept {
-    if (epoch == 0) return true;
-    if (epoch < cluster_epoch_) {
-      ++stale_epoch_rejects_;
-      return false;
-    }
-    cluster_epoch_ = epoch;
-    return true;
-  }
-  // `set PROTEUS_EPOCH` path: adopt an equal-or-newer epoch, refuse a stale
-  // one. Unlike admit_epoch, 0 is a real (initial) epoch here.
-  bool adopt_epoch(std::uint64_t epoch) noexcept {
-    if (epoch < cluster_epoch_) {
-      ++stale_epoch_rejects_;
-      return false;
-    }
-    cluster_epoch_ = epoch;
-    return true;
-  }
-  // Read path: a get stamped with a newer epoch still teaches the server,
-  // but a stale stamp is neither rejected nor counted — draining servers
-  // must keep answering old-view reads for the TTL window (Algorithm 2).
-  void observe_epoch(std::uint64_t epoch) noexcept {
-    if (epoch > cluster_epoch_) cluster_epoch_ = epoch;
-  }
-  std::uint64_t stale_epoch_rejects() const noexcept {
-    return stale_epoch_rejects_;
-  }
   // Incarnation id: bumped on every cold start (power_on after power_off;
   // daemons seed a per-process unique value via CacheConfig::incarnation).
   // A digest fetched from incarnation i is worthless under incarnation j>i —
@@ -214,7 +189,6 @@ class CacheServer {
   // --- power ---------------------------------------------------------------
   PowerState power_state() const noexcept { return power_state_; }
   void begin_draining() noexcept { power_state_ = PowerState::kDraining; }
-  void reactivate() noexcept { power_state_ = PowerState::kActive; }
   // Powering off drops all items and the digest (cache contents are lost).
   void power_off();
   void power_on();
@@ -282,9 +256,7 @@ class CacheServer {
   CacheStats stats_;
   PowerState power_state_ = PowerState::kActive;
   std::string pending_snapshot_;  // staged by SET_BLOOM_FILTER
-  std::uint64_t cluster_epoch_ = 0;
   std::uint64_t incarnation_ = 1;
-  std::uint64_t stale_epoch_rejects_ = 0;
 };
 
 // Wire codec for broadcast digests: header + raw words, little-endian.

@@ -1,6 +1,8 @@
 #include "cache/sharded_cache.h"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -16,6 +18,19 @@ bool is_power_of_two(std::size_t n) noexcept { return n && (n & (n - 1)) == 0; }
 // collision must not imply a routing collision, or one shard would soak up
 // every aliased key).
 constexpr std::uint64_t kShardRouteSeed = 0x5ca1ab1e0ddba11ULL;
+
+SimTime steady_now_us() noexcept {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// lock_shard_for's polling schedule: yield for the first polls (shard
+// critical sections last microseconds), then sleep with a doubling nap
+// capped so the shed lands at most one nap past its deadline.
+constexpr int kYieldPolls = 64;
+constexpr SimTime kFirstNapUs = 10;
+constexpr SimTime kMaxNapUs = 200;
 
 #ifndef NDEBUG
 // Ascending-rank assertion state. Tracks the locks THIS thread holds; the
@@ -61,7 +76,8 @@ int ShardedCacheServer::default_shards_for_threads(int threads) noexcept {
   return shards;
 }
 
-ShardedCacheServer::ShardedCacheServer(CacheConfig config, int num_shards) {
+ShardedCacheServer::ShardedCacheServer(CacheConfig config, int num_shards)
+    : lock_clock_(&steady_now_us) {
   if (num_shards <= 0) num_shards = 1;
   PROTEUS_CHECK_MSG(is_power_of_two(static_cast<std::size_t>(num_shards)),
                     "shard count must be a power of two");
@@ -101,7 +117,7 @@ std::size_t ShardedCacheServer::shard_index(std::string_view key) const noexcept
 }
 
 ShardedCacheServer::Guard ShardedCacheServer::lock_shard(std::size_t i) const {
-  std::unique_lock<std::timed_mutex> lock(shards_[i]->mutex);
+  std::unique_lock<std::mutex> lock(shards_[i]->mutex);
   note_rank_acquired(static_cast<int>(i));
   return Guard(std::move(lock), static_cast<int>(i));
 }
@@ -109,17 +125,30 @@ ShardedCacheServer::Guard ShardedCacheServer::lock_shard(std::size_t i) const {
 ShardedCacheServer::Guard ShardedCacheServer::lock_shard_for(
     std::size_t i, SimTime deadline_us) const {
   if (deadline_us <= 0) return lock_shard(i);  // 0 = wait forever
-  std::unique_lock<std::timed_mutex> lock(shards_[i]->mutex, std::defer_lock);
-  // System-clock deadline on purpose: try_lock_for's steady-clock path
-  // lowers to pthread_mutex_clocklock, which ThreadSanitizer does not
-  // intercept (a successful timed acquire goes unrecorded and the later
-  // unlock reports "unlock of an unlocked mutex"). The system-clock path
-  // is the intercepted pthread_mutex_timedlock, and these deadlines are
-  // sub-second shed bounds where a wall-clock step only sheds early/late.
-  const auto deadline = std::chrono::system_clock::now() +
-                        std::chrono::microseconds(deadline_us);
-  if (!lock.try_lock_until(deadline)) {
-    return Guard();  // unowned: the caller sheds the command
+  std::unique_lock<std::mutex> lock(shards_[i]->mutex, std::try_to_lock);
+  // Polled try_lock, bounded on the lock clock. No kernel timed wait is
+  // used: pthread_mutex_timedlock measures CLOCK_REALTIME, so a backward
+  // wall-clock step would block the worker for the length of the step, and
+  // the steady-clock pthread_mutex_clocklock is not intercepted by
+  // ThreadSanitizer. Only forward clock movement counts as waiting, so
+  // even a clock that steps backward cannot stretch the bound.
+  if (!lock.owns_lock()) {
+    SimTime waited = 0;
+    SimTime last = lock_clock_();
+    SimTime nap_us = kFirstNapUs;
+    for (int polls = 0; !lock.try_lock(); ++polls) {
+      const SimTime t = lock_clock_();
+      if (t > last) waited += t - last;
+      last = t;
+      if (waited >= deadline_us) return Guard();  // unowned: caller sheds
+      if (polls < kYieldPolls) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(
+            std::min(nap_us, deadline_us - waited)));
+        nap_us = std::min(nap_us * 2, kMaxNapUs);
+      }
+    }
   }
   note_rank_acquired(static_cast<int>(i));
   return Guard(std::move(lock), static_cast<int>(i));
@@ -251,22 +280,10 @@ std::size_t ShardedCacheServer::digest_memory_bytes() const noexcept {
 }
 
 bool ShardedCacheServer::admit_epoch(std::uint64_t epoch) noexcept {
-  if (epoch == 0) return true;
-  std::uint64_t cur = cluster_epoch_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (epoch < cur) {
-      stale_epoch_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (cluster_epoch_.compare_exchange_weak(cur, epoch,
-                                             std::memory_order_relaxed)) {
-      return true;
-    }
-  }
+  return epoch == 0 || adopt_epoch(epoch);
 }
 
 bool ShardedCacheServer::adopt_epoch(std::uint64_t epoch) noexcept {
-  // Unlike admit_epoch, 0 is a real (initial) epoch here.
   std::uint64_t cur = cluster_epoch_.load(std::memory_order_relaxed);
   for (;;) {
     if (epoch < cur) {
@@ -333,21 +350,9 @@ bool ShardedCacheServer::contains(std::string_view key, SimTime now) const {
   return shards_[i]->cache.contains(key, now);
 }
 
-void ShardedCacheServer::note_corrupt_set_reject(SimTime now,
-                                                 std::string_view key) {
-  const std::size_t i = shard_index(key);
-  const Guard guard = lock_shard(i);
-  shards_[i]->cache.note_corrupt_set_reject(now, key);
-}
-
 CacheStats ShardedCacheServer::shard_stats(std::size_t i) const {
   const Guard guard = lock_shard(i);
   return shards_[i]->cache.stats();
-}
-
-std::size_t ShardedCacheServer::shard_bytes_used(std::size_t i) const {
-  const Guard guard = lock_shard(i);
-  return shards_[i]->cache.bytes_used();
 }
 
 double ShardedCacheServer::shard_imbalance() const {

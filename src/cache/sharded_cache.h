@@ -41,7 +41,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -95,16 +94,14 @@ class ShardedCacheServer {
     ~Guard() { release(); }
 
     bool owns_lock() const noexcept { return lock_.owns_lock(); }
-    explicit operator bool() const noexcept { return owns_lock(); }
-    void unlock() { release(); }
 
    private:
     friend class ShardedCacheServer;
-    Guard(std::unique_lock<std::timed_mutex> lock, int rank) noexcept
+    Guard(std::unique_lock<std::mutex> lock, int rank) noexcept
         : lock_(std::move(lock)), rank_(rank) {}
     void release() noexcept;
 
-    std::unique_lock<std::timed_mutex> lock_;
+    std::unique_lock<std::mutex> lock_;
     int rank_ = -1;  // -1 = no rank bookkeeping to unwind
   };
 
@@ -112,8 +109,15 @@ class ShardedCacheServer {
   Guard lock_shard(std::size_t i) const;
   // Deadline acquisition: 0 = wait forever ("unlimited", the same zero
   // semantics as PipelinePolicy::max_per_batch and AdmissionOptions::
-  // queue_deadline_us). Returns an unowned Guard on timeout.
+  // queue_deadline_us). Returns an unowned Guard on timeout. The deadline
+  // is measured on the lock clock (steady by default), so a wall-clock
+  // step can neither stretch nor cut the wait.
   Guard lock_shard_for(std::size_t i, SimTime deadline_us) const;
+
+  // Clock seam for lock_shard_for's deadline: microseconds on a clock the
+  // caller controls. Defaults to the steady clock; tests inject steps.
+  using LockClock = SimTime (*)() noexcept;
+  void set_lock_clock(LockClock clock) noexcept { lock_clock_ = clock; }
 
   // --- merged / broadcast operations (internally locked) -------------------
   // Merged counters across all shards plus the engine's admin-get count.
@@ -149,11 +153,18 @@ class ShardedCacheServer {
   std::size_t digest_memory_bytes() const noexcept;
 
   // --- epoch fencing (engine-wide, lock-free) ------------------------------
+  // A fencing token: a web server routing on a pre-resize view can never
+  // write into a draining or re-owned key range (docs/PROTOCOL.md).
   std::uint64_t cluster_epoch() const noexcept {
     return cluster_epoch_.load(std::memory_order_relaxed);
   }
+  // Mutations: 0 (unstamped) passes; a stale stamp is counted and refused;
+  // a newer one is adopted.
   bool admit_epoch(std::uint64_t epoch) noexcept;
+  // `set PROTEUS_EPOCH`: like admit_epoch, but 0 is a real (initial) epoch.
   bool adopt_epoch(std::uint64_t epoch) noexcept;
+  // Reads: a newer stamp teaches, a stale one is neither refused nor counted
+  // (draining servers answer old-view reads for the TTL, Algorithm 2).
   void observe_epoch(std::uint64_t epoch) noexcept;
   std::uint64_t stale_epoch_rejects() const noexcept {
     return stale_epoch_rejects_.load(std::memory_order_relaxed);
@@ -162,15 +173,13 @@ class ShardedCacheServer {
 
   // --- convenience data plane (each call locks its shard internally) -------
   // Reserved protocol keys are intercepted here (merged digest / epoch
-  // hello) exactly as CacheServer::get does for the single-cache build, and
-  // counted as admin traffic — never as data-plane gets.
+  // hello) and counted as admin traffic — never as data-plane gets.
   std::optional<std::string> get(std::string_view key, SimTime now);
   void set(std::string_view key, std::string value, SimTime now,
            std::size_t charge = 0, std::uint32_t flags = 0,
            std::optional<std::uint32_t> crc = std::nullopt);
   bool erase(std::string_view key);
   bool contains(std::string_view key, SimTime now) const;
-  void note_corrupt_set_reject(SimTime now, std::string_view key);
 
   // Reserved-key probe shared with the protocol sessions.
   static bool is_reserved_key(std::string_view key) noexcept {
@@ -181,7 +190,6 @@ class ShardedCacheServer {
   // --- shard observability -------------------------------------------------
   // Locked copy of one shard's counters (per-shard /metrics gauges).
   CacheStats shard_stats(std::size_t i) const;
-  std::size_t shard_bytes_used(std::size_t i) const;
   // Hot-shard skew: max per-shard gets / mean per-shard gets. 1.0 = evenly
   // spread, N = everything on one shard. 0 when no gets yet.
   double shard_imbalance() const;
@@ -189,7 +197,7 @@ class ShardedCacheServer {
  private:
   struct Shard {
     explicit Shard(CacheConfig config) : cache(std::move(config)) {}
-    mutable std::timed_mutex mutex;
+    mutable std::mutex mutex;
     CacheServer cache;
   };
 
@@ -197,6 +205,7 @@ class ShardedCacheServer {
   std::size_t shard_mask_ = 0;  // shards - 1 (power of two)
   std::size_t total_budget_ = 0;
   std::uint64_t incarnation_ = 1;
+  LockClock lock_clock_;
   std::atomic<std::uint64_t> cluster_epoch_{0};
   std::atomic<std::uint64_t> stale_epoch_rejects_{0};
   // Reserved-key (admin) traffic served at engine level: BLOOM_FILTER /

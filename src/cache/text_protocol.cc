@@ -89,6 +89,45 @@ void consume_meta_tokens(std::vector<std::string_view>& tokens,
   }
 }
 
+bool is_storage(TextCommand::Op op) {
+  return op == TextCommand::Op::kSet || op == TextCommand::Op::kAdd ||
+         op == TextCommand::Op::kReplace;
+}
+
+StoreMode store_mode(TextCommand::Op op) {
+  return op == TextCommand::Op::kAdd       ? StoreMode::kAdd
+         : op == TextCommand::Op::kReplace ? StoreMode::kReplace
+                                           : StoreMode::kSet;
+}
+
+// The text reply of an outcome (docs/PROTOCOL.md "Executor outcomes").
+// `ok` and `not_found` are the command's own words for those two outcomes.
+std::string_view text_reply(Outcome outcome, std::string_view ok,
+                            std::string_view not_found) {
+  switch (outcome) {
+    case Outcome::kOk: return ok;
+    case Outcome::kNotFound: return not_found;
+    case Outcome::kExists: return "NOT_STORED\r\n";
+    case Outcome::kNotNumeric:
+      return "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n";
+    case Outcome::kStaleEpoch: return "SERVER_ERROR stale-epoch\r\n";
+    case Outcome::kBadChecksum: return "SERVER_ERROR bad-checksum\r\n";
+    case Outcome::kReservedKey: return "CLIENT_ERROR reserved key\r\n";
+    case Outcome::kBadEpochValue: return "CLIENT_ERROR bad epoch payload\r\n";
+    case Outcome::kTooLarge:
+      return "SERVER_ERROR object too large for cache\r\n";
+    case Outcome::kOverloaded: return "SERVER_ERROR overloaded\r\n";
+  }
+  return "SERVER_ERROR\r\n";
+}
+
+template <typename T>
+void append_decimal(std::string& out, T v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, end);
+}
+
 }  // namespace
 
 TextCommand parse_command_line(std::string_view line) {
@@ -178,441 +217,263 @@ std::string TextProtocolSession::feed(std::string_view bytes, SimTime now) {
   if (closed_) return {};
   buffer_.append(bytes);
   std::string out;
-  // The pipeline cap is per shard per feed() batch (one slot in bare mode).
-  std::fill(served_.begin(), served_.end(), 0);
+  exec_.begin_batch();  // the pipeline cap is per shard per feed() batch
+  // Parse offset into buffer_: consumed bytes are dropped once, at the end,
+  // not once per command.
+  std::size_t pos = 0;
+  while (!closed_) {
+    const std::string_view rest = std::string_view(buffer_).substr(pos);
+    if (discard_ > 0) {
+      // Skipping the data block of a refused oversized store, then its CRLF.
+      const std::size_t n = std::min(discard_, rest.size());
+      pos += n;
+      discard_ -= n;
+      if (discard_ > 0) break;
+      resync_ = true;
+      continue;
+    }
 
-  for (;;) {
     if (resync_) {
       // A bad data chunk desynchronized the stream; drop bytes until the
       // next CRLF and resume command parsing there (memcached behaviour).
-      const std::size_t eol = buffer_.find("\r\n");
-      if (eol == std::string::npos) {
-        buffer_.clear();
+      const std::size_t eol = rest.find("\r\n");
+      if (eol == std::string_view::npos) {
+        pos = buffer_.size();
         break;
       }
-      buffer_.erase(0, eol + 2);
+      pos += eol + 2;
       resync_ = false;
       continue;
     }
 
     if (pending_.has_value()) {
       // Waiting for <bytes> of payload plus the trailing CRLF.
-      const std::size_t want = pending_->bytes + 2;
-      if (buffer_.size() < want) break;
-      std::string payload = buffer_.substr(0, pending_->bytes);
-      const bool terminated =
-          buffer_[pending_->bytes] == '\r' && buffer_[pending_->bytes + 1] == '\n';
-      TextCommand cmd = *pending_;
+      const std::size_t n = pending_->bytes;
+      if (rest.size() < n || rest.size() - n < 2) break;
+      const TextCommand cmd = std::move(*pending_);
       pending_.reset();
       const bool shed = pending_shed_;
       pending_shed_ = false;
-      if (!terminated) {
-        buffer_.erase(0, cmd.bytes);
+      if (rest[n] != '\r' || rest[n + 1] != '\n') {
+        pos += n;
         resync_ = true;
         if (!cmd.noreply) out += "CLIENT_ERROR bad data chunk\r\n";
         continue;
       }
-      buffer_.erase(0, want);
+      pos += n + 2;
       if (shed) {
         // Payload consumed for stream correctness, but the command was over
         // the pipeline cap: refuse the work.
-        if (!cmd.noreply) out += "SERVER_ERROR overloaded\r\n";
+        if (!cmd.noreply) out += text_reply(Outcome::kOverloaded, {}, {});
         continue;
       }
-      const std::string reply = handle_storage(cmd, std::move(payload), now);
-      if (!cmd.noreply) out += reply;
+      handle_storage(cmd, rest.substr(0, n), now, out);
       continue;
     }
 
-    const std::size_t eol = buffer_.find("\r\n");
-    if (eol == std::string::npos) break;
-    const std::string line = buffer_.substr(0, eol);
-    buffer_.erase(0, eol + 2);
-    out += handle_line(line, now);
-    if (closed_) break;
+    const std::size_t eol = rest.find("\r\n");
+    if (eol == std::string_view::npos) break;
+    pos += eol + 2;
+    handle_line(rest.substr(0, eol), now, out);
   }
+  buffer_.erase(0, pos);
   return out;
 }
 
-std::string TextProtocolSession::handle_line(std::string_view line,
-                                             SimTime now) {
-  const SimTime parse_start = spans_ != nullptr ? obs::span_clock_now() : 0;
+void TextProtocolSession::handle_line(std::string_view line, SimTime now,
+                                      std::string& out) {
+  const SimTime parse_start = exec_.tracing() ? obs::span_clock_now() : 0;
   TextCommand cmd = parse_command_line(line);
   if (cmd.trace_id != 0) last_trace_id_ = cmd.trace_id;
-  const std::uint64_t tid = spans_ != nullptr ? cmd.trace_id : 0;
-  if (tid != 0) {
-    record_server_span(tid, static_cast<int>(obs::SpanKind::kServerParse),
-                       parse_start);
+  const std::uint64_t tid = exec_.traced(cmd.trace_id);
+  exec_.record_span(tid, obs::SpanKind::kServerParse, parse_start);
+  if (is_storage(cmd.op) && !exec_.fits(cmd.bytes)) {
+    // Refused before a byte of the data block is buffered: it is skipped.
+    if (!cmd.noreply) out += text_reply(Outcome::kTooLarge, {}, {});
+    discard_ = cmd.bytes;
+    return;
   }
-  // Pipeline cap: cache-touching commands beyond the per-batch budget are
+  // Pipeline cap: cache-touching commands beyond the per-shard budget are
   // refused with a well-formed shed reply. Exempt: quit/version (free, and
   // quit must always work) and invalid lines (answered ERROR regardless).
-  // A command refused here never attempts its shard lock, so it can never
-  // also count as a deadline shed.
+  // A command accounts against its first key's shard; keyless commands
+  // (stats, flush_all) against shard 0.
   const bool cache_touching = cmd.op != TextCommand::Op::kQuit &&
                               cmd.op != TextCommand::Op::kVersion &&
                               cmd.op != TextCommand::Op::kInvalid;
-  // The budget is per shard: a command accounts against its first key's
-  // shard; keyless commands (stats, flush_all) against shard 0.
-  std::size_t batch_shard = 0;
-  if (engine_ != nullptr && !cmd.keys.empty()) {
-    batch_shard = engine_->shard_index(cmd.keys[0]);
-  }
-  if (cache_touching && pipeline_.max_per_batch > 0 &&
-      served_[batch_shard] >= pipeline_.max_per_batch) {
-    if (pipeline_.sheds != nullptr) {
-      pipeline_.sheds->fetch_add(1, std::memory_order_relaxed);
-    }
-    if (cmd.op == TextCommand::Op::kSet || cmd.op == TextCommand::Op::kAdd ||
-        cmd.op == TextCommand::Op::kReplace) {
+  if (cache_touching &&
+      !exec_.admit(cmd.keys.empty() ? std::string_view{} : cmd.keys[0])) {
+    if (is_storage(cmd.op)) {
       // The data block is still in flight; consume it before refusing.
       pending_ = std::move(cmd);
       pending_shed_ = true;
-      return {};
+    } else if (!cmd.noreply) {
+      out += text_reply(Outcome::kOverloaded, {}, {});
     }
-    return cmd.noreply ? std::string{} : "SERVER_ERROR overloaded\r\n";
+    return;
   }
-  if (cache_touching) ++served_[batch_shard];
   const SimTime op_start = tid != 0 ? obs::span_clock_now() : 0;
-  std::string reply;
-  bool deferred = false;
+  Outcome outcome = Outcome::kOk;
   switch (cmd.op) {
     case TextCommand::Op::kInvalid:
-      reply = "ERROR\r\n";
+      out += "ERROR\r\n";
       break;
     case TextCommand::Op::kGet:
-      reply = handle_get(cmd, now);
+      outcome = handle_get(cmd, now, tid, out);
       break;
     case TextCommand::Op::kSet:
     case TextCommand::Op::kAdd:
     case TextCommand::Op::kReplace:
       pending_ = std::move(cmd);
-      deferred = true;  // reply (and op span) wait for the data block
-      break;
-    case TextCommand::Op::kDelete: {
-      if (!admit_epoch(cmd.epoch)) {
-        if (!cmd.noreply) reply = "SERVER_ERROR stale-epoch\r\n";
-        if (tid != 0) {
-          record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                             op_start,
-                             static_cast<int>(obs::SpanCause::kStaleEpoch));
-        }
-        return reply;
+      return;  // the reply and op span wait for the data block
+    case TextCommand::Op::kDelete:
+      outcome = exec_.erase(cmd.keys[0], cmd.epoch, tid);
+      if (!cmd.noreply) {
+        out += text_reply(outcome, "DELETED\r\n", "NOT_FOUND\r\n");
       }
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(cmd.keys[0], guard, tid);
-      if (cache == nullptr) {
-        if (!cmd.noreply) reply = "SERVER_ERROR overloaded\r\n";
-        break;
-      }
-      const bool deleted = cache->erase(cmd.keys[0]);
-      if (!cmd.noreply) reply = deleted ? "DELETED\r\n" : "NOT_FOUND\r\n";
       break;
-    }
     case TextCommand::Op::kIncr:
-    case TextCommand::Op::kDecr:
-      reply = handle_counter(cmd, now);
-      break;
-    case TextCommand::Op::kTouch: {
-      // CacheServer's TTL is access-based; a touch is a read.
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(cmd.keys[0], guard, tid);
-      if (cache == nullptr) {
-        if (!cmd.noreply) reply = "SERVER_ERROR overloaded\r\n";
-        break;
+    case TextCommand::Op::kDecr: {
+      CounterCommand counter;  // text incr never creates: no initial value
+      counter.key = cmd.keys[0];
+      counter.increment = cmd.op == TextCommand::Op::kIncr;
+      counter.delta = cmd.delta;
+      std::uint64_t value = 0;
+      std::uint64_t cas = 0;
+      outcome = exec_.counter(counter, now, tid, value, cas);
+      if (cmd.noreply) break;
+      if (outcome == Outcome::kOk) {
+        append_decimal(out, value);
+        out += "\r\n";
+      } else {
+        out += text_reply(outcome, {}, "NOT_FOUND\r\n");
       }
-      const bool found = cache->get(cmd.keys[0], now).has_value();
-      if (!cmd.noreply) reply = found ? "TOUCHED\r\n" : "NOT_FOUND\r\n";
       break;
     }
-    case TextCommand::Op::kFlushAll:
-      // Engine flush is a fan-out under every shard lock (atomic across
-      // shards); the session itself holds none of them here.
-      if (engine_ != nullptr) {
-        engine_->flush();
-      } else {
-        single_->flush();
+    case TextCommand::Op::kTouch:
+      outcome = exec_.touch(cmd.keys[0], now, tid);
+      if (!cmd.noreply) {
+        out += text_reply(outcome, "TOUCHED\r\n", "NOT_FOUND\r\n");
       }
-      if (!cmd.noreply) reply = "OK\r\n";
+      break;
+    case TextCommand::Op::kFlushAll:
+      exec_.flush();
+      if (!cmd.noreply) out += "OK\r\n";
       break;
     case TextCommand::Op::kStats:
-      reply = handle_stats(cmd);
+      handle_stats(cmd, out);
       break;
     case TextCommand::Op::kVersion:
-      reply = "VERSION proteus-1.0\r\n";
+      out += "VERSION proteus-1.0\r\n";
       break;
     case TextCommand::Op::kQuit:
       closed_ = true;
       break;
   }
-  if (tid != 0 && !deferred) {
-    record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                       op_start);
-  }
-  return reply;
+  exec_.record_span(tid, obs::SpanKind::kServerOp, op_start,
+                    CommandExecutor::span_cause(outcome));
 }
 
-std::string TextProtocolSession::handle_storage(const TextCommand& cmd,
-                                                std::string payload,
-                                                SimTime now) {
-  const std::uint64_t tid = spans_ != nullptr ? cmd.trace_id : 0;
+void TextProtocolSession::handle_storage(const TextCommand& cmd,
+                                         std::string_view payload, SimTime now,
+                                         std::string& out) {
+  const std::uint64_t tid = exec_.traced(cmd.trace_id);
   const SimTime op_start = tid != 0 ? obs::span_clock_now() : 0;
-  std::string reply;
-  const std::string& key = cmd.keys[0];
-  if (key == kEpochKey) {
-    // Epoch adoption: payload is the decimal epoch. Stale proposals are
-    // refused so a lagging coordinator cannot roll the fence backwards.
-    std::uint64_t proposed = 0;
-    if (cmd.op != TextCommand::Op::kSet || !parse_number(payload, proposed)) {
-      reply = "CLIENT_ERROR bad epoch payload\r\n";
-    } else if (adopt_epoch(proposed)) {
-      reply = "STORED\r\n";
-    } else {
-      reply = "SERVER_ERROR stale-epoch\r\n";
-    }
-  } else if (!admit_epoch(cmd.epoch)) {
-    reply = "SERVER_ERROR stale-epoch\r\n";
-    if (tid != 0) {
-      record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                         op_start,
-                         static_cast<int>(obs::SpanCause::kStaleEpoch));
-    }
-    return reply;
-  } else if (key == kSetBloomFilterKey || key == kGetBloomFilterKey) {
-    reply = "CLIENT_ERROR reserved key\r\n";  // digest keys are read-only
-  } else {
-    ShardedCacheServer::Guard guard;
-    CacheServer* cache = acquire(key, guard, tid);
-    if (cache == nullptr) {
-      reply = "SERVER_ERROR overloaded\r\n";
-    } else if (cmd.checksum.has_value() && crc32c(payload) != *cmd.checksum) {
-      // The payload rotted between the client's stamp and here (wire
-      // corruption or a buggy middlebox). Refuse rather than store bad
-      // bytes; the client treats this as a failed set and re-sends.
-      cache->note_corrupt_set_reject(now, key);
-      reply = "SERVER_ERROR bad-checksum\r\n";
-      if (tid != 0) {
-        record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                           op_start,
-                           static_cast<int>(obs::SpanCause::kCorrupt));
-      }
-      return reply;
-    } else if (cmd.op == TextCommand::Op::kAdd && cache->contains(key, now)) {
-      reply = "NOT_STORED\r\n";
-    } else if (cmd.op == TextCommand::Op::kReplace &&
-               !cache->contains(key, now)) {
-      reply = "NOT_STORED\r\n";
-    } else {
-      cache->set(key, std::move(payload), now, /*charge=*/0, cmd.flags,
-                 cmd.checksum);
-      reply = "STORED\r\n";
-    }
-  }
-  if (tid != 0) {
-    record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                       op_start);
-  }
-  return reply;
+  StoreCommand store;
+  store.mode = store_mode(cmd.op);
+  store.key = cmd.keys[0];
+  store.value.assign(payload);
+  store.flags = cmd.flags;
+  store.crc = cmd.checksum;
+  store.epoch = cmd.epoch;
+  const Outcome outcome = exec_.store(std::move(store), now, tid);
+  if (!cmd.noreply) out += text_reply(outcome, "STORED\r\n", "NOT_STORED\r\n");
+  exec_.record_span(tid, obs::SpanKind::kServerOp, op_start,
+                    CommandExecutor::span_cause(outcome));
 }
 
-void TextProtocolSession::record_server_span(std::uint64_t trace_id,
-                                             int kind_tag, SimTime start,
-                                             int cause_tag,
-                                             std::string_view key) {
-  if (spans_ == nullptr || trace_id == 0) return;
-  obs::SpanRecord s;
-  s.trace_id = trace_id;
-  s.span_id = spans_->next_id();
-  s.parent_id = 0;  // wire parent unknown; analyzer correlates by trace id
-  s.kind = static_cast<obs::SpanKind>(kind_tag);
-  s.cause = static_cast<obs::SpanCause>(cause_tag);
-  s.start_us = start;
-  s.duration_us = obs::span_clock_now() - start;
-  s.server = server_id_;
-  s.key = std::string(key.substr(0, 64));
-  spans_->record(std::move(s));
-}
-
-CacheServer* TextProtocolSession::acquire(std::string_view key,
-                                          ShardedCacheServer::Guard& guard,
-                                          std::uint64_t tid) {
-  if (engine_ == nullptr) return single_;
-  const std::size_t idx = engine_->shard_index(key);
-  const SimTime wait_start = tid != 0 ? obs::span_clock_now() : 0;
-  guard = engine_->lock_shard_for(idx, pipeline_.lock_deadline_us);
-  const bool timed_out = !guard.owns_lock();
-  if (tid != 0) {
-    // Lock-wait spans carry the key so proteus-spans can attribute
-    // contention to the shard that owns it.
-    record_server_span(
-        tid, static_cast<int>(obs::SpanKind::kServerLockWait), wait_start,
-        timed_out ? static_cast<int>(obs::SpanCause::kShed) : 0, key);
-  }
-  if (timed_out) {
-    if (pipeline_.deadline_sheds != nullptr) {
-      pipeline_.deadline_sheds->fetch_add(1, std::memory_order_relaxed);
-    }
-    return nullptr;
-  }
-  return &engine_->shard(idx);
-}
-
-bool TextProtocolSession::admit_epoch(std::uint64_t epoch) {
-  return engine_ != nullptr ? engine_->admit_epoch(epoch)
-                            : single_->admit_epoch(epoch);
-}
-
-bool TextProtocolSession::adopt_epoch(std::uint64_t epoch) {
-  return engine_ != nullptr ? engine_->adopt_epoch(epoch)
-                            : single_->adopt_epoch(epoch);
-}
-
-void TextProtocolSession::observe_epoch(std::uint64_t epoch) {
-  if (engine_ != nullptr) {
-    engine_->observe_epoch(epoch);
-  } else {
-    single_->observe_epoch(epoch);
-  }
-}
-
-std::string TextProtocolSession::handle_get(const TextCommand& cmd,
-                                            SimTime now) {
-  observe_epoch(cmd.epoch);  // reads teach, never fence
-  const std::uint64_t tid = spans_ != nullptr ? cmd.trace_id : 0;
-  std::string out;
+Outcome TextProtocolSession::handle_get(const TextCommand& cmd, SimTime now,
+                                        std::uint64_t trace_id,
+                                        std::string& out) {
+  const std::size_t start = out.size();
   for (const std::string& key : cmd.keys) {
-    if (engine_ != nullptr && ShardedCacheServer::is_reserved_key(key)) {
-      // Admin reads (digest blob, epoch hello) are served by the engine's
-      // merged/broadcast paths without a shard lock: the blob is the OR of
-      // every shard's digest segment, byte-identical on the wire to the
-      // single-cache build (§V-3). Counted as admin traffic, never as
-      // data-plane gets.
-      auto value = engine_->get(key, now);
-      if (!value.has_value()) continue;
-      out += "VALUE " + key + " 0 " + std::to_string(value->size()) + "\r\n";
-      out += *value;
-      out += "\r\n";
-      continue;
-    }
-    ShardedCacheServer::Guard guard;
-    CacheServer* cache = acquire(key, guard, tid);
-    if (cache == nullptr) {
+    const Outcome outcome = exec_.get(key, cmd.epoch, now, trace_id, hit_);
+    if (outcome == Outcome::kOverloaded) {
       // Shard-lock deadline hit mid-multi-get: shed the whole command with
       // an honest refusal rather than emit a truncated VALUE stream.
-      return "SERVER_ERROR overloaded\r\n";
+      out.resize(start);
+      out += text_reply(outcome, {}, {});
+      return outcome;
     }
-    auto value = cache->get(key, now);
-    if (!value.has_value()) continue;  // missing keys are silently skipped
-    const auto flags = cache->flags_of(key, now);
-    out += "VALUE " + key + ' ' + std::to_string(flags.value_or(0)) + ' ' +
-           std::to_string(value->size());
-    if (cmd.checksum.has_value()) {
-      // The get opted in to checksum echo; only items stored with one have
-      // one (a stored-without-checksum item echoes nothing).
-      if (const auto crc = cache->checksum_of(key, now); crc.has_value()) {
-        out += ' ';
-        out += obs::encode_checksum_token(*crc);
-      }
+    if (outcome != Outcome::kOk) continue;  // missing keys are skipped
+    out += "VALUE ";
+    out += key;
+    out += ' ';
+    append_decimal(out, hit_.meta.flags);
+    out += ' ';
+    append_decimal(out, hit_.value.size());
+    // A get that opted in to checksum echo (any C token) gets the stored
+    // checksum; an item stored without one echoes nothing.
+    if (cmd.checksum.has_value() && hit_.meta.crc.has_value()) {
+      out += ' ';
+      out += obs::encode_checksum_token(*hit_.meta.crc);
     }
     out += "\r\n";
-    out += *value;
+    out += hit_.value;
     out += "\r\n";
   }
   out += "END\r\n";
-  return out;
+  return Outcome::kOk;
 }
 
-std::string TextProtocolSession::handle_counter(const TextCommand& cmd,
-                                                SimTime now) {
-  const std::string& key = cmd.keys[0];
-  const std::uint64_t tid = spans_ != nullptr ? cmd.trace_id : 0;
-  // The guard spans the get+set pair: incr/decr stays atomic per shard.
-  ShardedCacheServer::Guard guard;
-  CacheServer* cache = acquire(key, guard, tid);
-  if (cache == nullptr) {
-    return cmd.noreply ? std::string{} : "SERVER_ERROR overloaded\r\n";
-  }
-  auto value = cache->get(key, now);
-  if (!value.has_value()) {
-    return cmd.noreply ? std::string{} : "NOT_FOUND\r\n";
-  }
-  std::uint64_t current = 0;
-  if (!parse_number(*value, current)) {
-    return cmd.noreply
-               ? std::string{}
-               : "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n";
-  }
-  std::uint64_t next;
-  if (cmd.op == TextCommand::Op::kIncr) {
-    next = current + cmd.delta;  // memcached wraps on 64-bit overflow
-  } else {
-    next = current > cmd.delta ? current - cmd.delta : 0;  // clamps at 0
-  }
-  cache->set(key, std::to_string(next), now);
-  return cmd.noreply ? std::string{} : std::to_string(next) + "\r\n";
-}
-
-std::string TextProtocolSession::handle_stats(const TextCommand& cmd) {
+void TextProtocolSession::handle_stats(const TextCommand& cmd,
+                                       std::string& out) {
   if (cmd.stats_arg == "reset") {
-    // Engine reset is a fan-out under every shard lock (atomic across
-    // shards); the session holds no shard lock of its own here.
-    if (engine_ != nullptr) {
-      engine_->reset_stats();
-    } else {
-      single_->reset_stats();
-    }
-    if (stats_reset_hook_) stats_reset_hook_();
-    return "RESET\r\n";
+    exec_.reset_stats();
+    out += "RESET\r\n";
+    return;
   }
   if (cmd.stats_arg == "proteus") {
     // The unified registry (daemon-wide metrics + latency quantiles); a
-    // bare CacheServer session has no registry and reports nothing. The
-    // session holds NO shard lock here — registry callbacks lock shards
-    // internally, one at a time.
-    return metrics_ != nullptr ? obs::render_stats_text(metrics_->snapshot())
+    // session without a registry reports nothing. No shard lock is held
+    // here — registry callbacks lock shards internally, one at a time.
+    out += metrics_ != nullptr ? obs::render_stats_text(metrics_->snapshot())
                                : "END\r\n";
+    return;
   }
-  if (!cmd.stats_arg.empty()) return "ERROR\r\n";
-  // Engine mode reports the merged view across shards (each accessor
-  // visits shards one at a time, internally locked).
-  const bool sharded = engine_ != nullptr;
-  const CacheStats s = sharded ? engine_->stats() : single_->stats();
-  std::string out;
+  if (!cmd.stats_arg.empty()) {
+    out += "ERROR\r\n";
+    return;
+  }
+  const StatsSnapshot s = exec_.stats();
   const auto stat = [&out](std::string_view name, std::uint64_t v) {
     out += "STAT ";
     out += name;
     out += ' ';
-    out += std::to_string(v);
+    append_decimal(out, v);
     out += "\r\n";
   };
-  stat("cmd_get", s.gets);
-  stat("get_hits", s.hits);
-  stat("get_misses", s.misses);
-  stat("cmd_set", s.sets);
-  stat("delete_hits", s.deletes);
-  stat("evictions", s.evictions);
-  stat("expired_unfetched", s.expirations);
-  stat("curr_items", sharded ? engine_->item_count() : single_->item_count());
-  stat("bytes", sharded ? engine_->bytes_used() : single_->bytes_used());
-  stat("limit_maxbytes",
-       sharded ? engine_->memory_budget() : single_->memory_budget());
-  stat("digest_counters", sharded ? engine_->digest_num_counters()
-                                  : single_->digest().num_counters());
-  stat("digest_bytes", sharded ? engine_->digest_memory_bytes()
-                               : single_->digest().memory_bytes());
-  stat("cluster_epoch",
-       sharded ? engine_->cluster_epoch() : single_->cluster_epoch());
-  stat("incarnation",
-       sharded ? engine_->incarnation() : single_->incarnation());
-  stat("stale_epoch_rejects", sharded ? engine_->stale_epoch_rejects()
-                                      : single_->stale_epoch_rejects());
-  stat("corrupt_drops", s.corrupt_drops);
-  stat("corrupt_set_rejects", s.corrupt_set_rejects);
+  stat("cmd_get", s.counters.gets);
+  stat("get_hits", s.counters.hits);
+  stat("get_misses", s.counters.misses);
+  stat("cmd_set", s.counters.sets);
+  stat("delete_hits", s.counters.deletes);
+  stat("evictions", s.counters.evictions);
+  stat("expired_unfetched", s.counters.expirations);
+  stat("curr_items", s.items);
+  stat("bytes", s.bytes);
+  stat("limit_maxbytes", s.limit_bytes);
+  stat("digest_counters", s.digest_counters);
+  stat("digest_bytes", s.digest_bytes);
+  stat("cluster_epoch", s.cluster_epoch);
+  stat("incarnation", s.incarnation);
+  stat("stale_epoch_rejects", s.stale_epoch_rejects);
+  stat("corrupt_drops", s.counters.corrupt_drops);
+  stat("corrupt_set_rejects", s.counters.corrupt_set_rejects);
   // Reserved-key admin traffic (digest pulls, epoch hellos) — excluded
   // from cmd_get/get_hits/get_misses so hit ratios stay data-plane only.
-  stat("admin_gets", s.admin_gets);
+  stat("admin_gets", s.counters.admin_gets);
   out += "END\r\n";
-  return out;
 }
 
 }  // namespace proteus::cache

@@ -1,10 +1,10 @@
-// Memcached text protocol front end for CacheServer.
+// Memcached text protocol front end over the sharded cache engine.
 //
 // The paper modified stock memcached and kept wire compatibility: "It
 // exactly follows Memcached protocol, and should be compatible with all
 // Memcached client packages" (§V-3), validated against spymemcached and
 // python-memcached. This module implements the subset of the memcached
-// text protocol those clients use against this repo's CacheServer, so the
+// text protocol those clients use against this repo's cache, so the
 // digest operations (SET_BLOOM_FILTER / BLOOM_FILTER) are reachable through
 // an unmodified client exactly as in the paper:
 //
@@ -57,7 +57,12 @@
 // "Observability" lists the catalog).
 //
 // The session is push-parsed: feed() accepts arbitrary byte chunks (TCP
-// segmentation agnostic) and emits complete protocol responses.
+// segmentation agnostic) and emits complete protocol responses. It only
+// frames, parses and encodes: what each command does is decided by the
+// CommandExecutor (command_executor.h) the binary session shares. A storage
+// line declaring more bytes than the cache's whole budget is answered
+// `SERVER_ERROR object too large for cache` and its data block is skipped
+// without being buffered.
 #pragma once
 
 #include <cstdint>
@@ -67,14 +72,13 @@
 #include <string_view>
 #include <vector>
 
-#include "cache/cache_server.h"
+#include "cache/command_executor.h"
 #include "cache/pipeline_policy.h"
 #include "cache/sharded_cache.h"
 #include "common/time.h"
 
 namespace proteus::obs {
 class MetricsRegistry;
-class SpanCollector;
 }  // namespace proteus::obs
 
 namespace proteus::cache {
@@ -105,26 +109,12 @@ struct TextCommand {
   std::uint64_t delta = 0;      // incr/decr
   bool noreply = false;
   std::string stats_arg;        // stats subcommand ("", "reset", "proteus")
-  // Wire trace context: nonzero when the line carried a trailing O<hex64>
-  // token (stripped before key handling).
-  std::uint64_t trace_id = 0;
-  // Priority extension: true when the line ended with a literal `bg` token
-  // (after any trace token). Instrumented clients tag
-  // maintenance traffic — migration fetches, digest pulls — so the daemon
-  // can shed it first under overload. A stock memcached sees one more
-  // (always-missing) get key, exactly like the trace token.
-  bool background = false;
-  // Epoch fencing extension (docs/PROTOCOL.md): nonzero when the line
-  // carried an E<hex64> stamp (before any trace/bg token). Mutations whose
-  // stamp is below the server's cluster epoch are refused with
-  // `SERVER_ERROR stale-epoch`; stamped reads only teach the server.
-  std::uint64_t epoch = 0;
-  // Payload integrity extension (docs/PROTOCOL.md): set when the line
-  // carried a C<hex8> CRC32C token. On storage lines it is the client's
-  // checksum of the data block — verified at arrival (`SERVER_ERROR
-  // bad-checksum` on mismatch) and stored with the item. On get lines the
-  // value is ignored; its presence asks the server to echo stored checksums
-  // on VALUE lines.
+  // The meta tokens described above, stripped before key handling.
+  std::uint64_t trace_id = 0;   // O<hex64>; 0 = none
+  bool background = false;      // `bg`: shed first under overload
+  std::uint64_t epoch = 0;      // E<hex64> fencing stamp; 0 = unstamped
+  // C<hex8>: the data block's CRC32C on storage lines; on get lines only
+  // its presence matters (it opts in to checksum echo).
   std::optional<std::uint32_t> checksum;
 };
 
@@ -132,51 +122,27 @@ struct TextCommand {
 // side effects on malformed input.
 TextCommand parse_command_line(std::string_view line);
 
-// One client connection worth of protocol state, bound either to a bare
-// CacheServer (caller owns locking — the original single-cache mode, used
-// by tests and embedders) or to a ShardedCacheServer engine (the session
-// locks each command's shard itself; see the engine ctor).
+// One client connection worth of protocol state over a ShardedCacheServer:
+// each command routes to its key's shard and takes only that shard's mutex
+// (see command_executor.h).
 class TextProtocolSession {
  public:
   // `metrics` (optional) backs the `stats proteus` extension; the registry
   // must outlive the session. Callback metrics registered there are polled
   // on the protocol thread — see the contract in obs/metrics.h.
-  // `spans` (optional) records server-side parse/op spans for commands
-  // carrying a trace token; `server_id` tags them with this daemon's fleet
-  // index (-1 = unknown). Both must outlive the session.
-  // `pipeline` caps cache-touching commands per feed() batch (see
-  // cache/pipeline_policy.h); excess commands get `SERVER_ERROR overloaded`
-  // while their storage payloads are still consumed.
-  explicit TextProtocolSession(CacheServer& server,
-                               const obs::MetricsRegistry* metrics = nullptr,
-                               obs::SpanCollector* spans = nullptr,
-                               int server_id = -1,
-                               PipelinePolicy pipeline = {})
-      : single_(&server),
-        metrics_(metrics),
-        spans_(spans),
-        server_id_(server_id),
-        pipeline_(pipeline),
-        served_(1, 0) {}
-
-  // Engine-mode session: each command routes to its key's shard and takes
-  // ONLY that shard's mutex, bounded by `pipeline.lock_deadline_us` (0 =
-  // wait forever); a timed-out command is shed with `SERVER_ERROR
-  // overloaded` and counted in `pipeline.deadline_sheds`. The pipeline cap
-  // becomes per shard per batch. Reserved digest/epoch keys are served by
-  // the engine's merged/broadcast paths, so the wire bytes are identical
-  // to the single-cache build (§V-3).
+  // `spans` (optional) records server-side parse/op/lock-wait spans for
+  // commands carrying a trace token; `server_id` tags them with this
+  // daemon's fleet index (-1 = unknown). Both must outlive the session.
+  // `pipeline` caps cache-touching commands per shard per feed() batch and
+  // bounds each shard-lock wait (cache/pipeline_policy.h); a shed command
+  // gets `SERVER_ERROR overloaded` while its storage payload is still
+  // consumed.
   explicit TextProtocolSession(ShardedCacheServer& engine,
                                const obs::MetricsRegistry* metrics = nullptr,
                                obs::SpanCollector* spans = nullptr,
                                int server_id = -1,
                                PipelinePolicy pipeline = {})
-      : engine_(&engine),
-        metrics_(metrics),
-        spans_(spans),
-        server_id_(server_id),
-        pipeline_(pipeline),
-        served_(static_cast<std::size_t>(engine.num_shards()), 0) {}
+      : exec_(engine, pipeline, spans, server_id), metrics_(metrics) {}
 
   // Feeds raw bytes; appends any complete responses to the return value.
   // A "quit" command sets closed() and further input is ignored.
@@ -194,50 +160,26 @@ class TextProtocolSession {
   // on the protocol thread with NO shard lock held (the engine's fan-out
   // reset locks internally); keep it to leaf locks / atomics.
   void set_stats_reset_hook(std::function<void()> hook) {
-    stats_reset_hook_ = std::move(hook);
+    exec_.set_stats_reset_hook(std::move(hook));
   }
 
  private:
-  std::string handle_line(std::string_view line, SimTime now);
-  std::string handle_storage(const TextCommand& cmd, std::string payload,
-                             SimTime now);
-  std::string handle_get(const TextCommand& cmd, SimTime now);
-  std::string handle_counter(const TextCommand& cmd, SimTime now);
-  std::string handle_stats(const TextCommand& cmd);
-  // Records a server-side span when `trace_id` is nonzero and a collector
-  // is attached; [start, span_clock_now()] on the shared steady clock.
-  // `cause_tag` (a SpanCause) annotates fenced/rejected work; 0 = none.
-  // `key` attributes the span to the involved key (lock-wait spans use it
-  // for per-shard contention attribution).
-  void record_server_span(std::uint64_t trace_id, int kind_tag, SimTime start,
-                          int cause_tag = 0, std::string_view key = {});
-  // Engine mode: locks `key`'s shard under pipeline_.lock_deadline_us (0 =
-  // wait forever), records the kServerLockWait span, and returns the shard
-  // cache — or nullptr after counting one deadline shed on timeout. Bare
-  // mode: returns the single cache with no locking (the caller owns the
-  // lock, exactly as before sharding).
-  CacheServer* acquire(std::string_view key, ShardedCacheServer::Guard& guard,
-                       std::uint64_t tid);
-  // Epoch fencing dispatch: engine atomics in engine mode (the fence is
-  // fleet-wide, never per shard), the single cache otherwise.
-  bool admit_epoch(std::uint64_t epoch);
-  bool adopt_epoch(std::uint64_t epoch);
-  void observe_epoch(std::uint64_t epoch);
+  void handle_line(std::string_view line, SimTime now, std::string& out);
+  void handle_storage(const TextCommand& cmd, std::string_view payload,
+                      SimTime now, std::string& out);
+  Outcome handle_get(const TextCommand& cmd, SimTime now,
+                     std::uint64_t trace_id, std::string& out);
+  void handle_stats(const TextCommand& cmd, std::string& out);
 
-  CacheServer* single_ = nullptr;         // bare mode (exactly one is set)
-  ShardedCacheServer* engine_ = nullptr;  // engine mode
+  CommandExecutor exec_;
   const obs::MetricsRegistry* metrics_ = nullptr;
-  obs::SpanCollector* spans_ = nullptr;
-  int server_id_ = -1;
-  PipelinePolicy pipeline_;
-  std::function<void()> stats_reset_hook_;
-  // Cache-touching commands served this feed(), per shard (one slot in
-  // bare mode) — the pipeline cap's per-shard budget.
-  std::vector<int> served_;
+  Hit hit_;  // reused by every get, so a hit copies into retained capacity
   std::uint64_t last_trace_id_ = 0;
   std::string buffer_;
   bool closed_ = false;
   bool resync_ = false;  // discarding to the next CRLF after a bad chunk
+  // Bytes of a refused oversized data block still to skip (then its CRLF).
+  std::size_t discard_ = 0;
   // Pending storage command waiting for its data block.
   std::optional<TextCommand> pending_;
   // The pending storage command was shed by the pipeline cap: consume its

@@ -1,8 +1,8 @@
 // Per-endpoint health gating: capped exponential backoff with deterministic
-// jitter, a closed/open/half-open circuit breaker, and the gray-failure
-// layer built on top of it — a phi-accrual-style EWMA latency/error
-// detector (EndpointHealth) with a healthy/suspect/quarantined/probation
-// state machine, decorrelated-jitter retry scheduling (DecorrelatedJitter)
+// jitter, the closed/open/half-open circuit-breaker vocabulary, and the
+// gray-failure layer that implements it — a phi-accrual-style EWMA
+// latency/error detector (EndpointHealth) with a healthy/suspect/
+// quarantined/probation state machine, decorrelated-jitter retry scheduling (DecorrelatedJitter)
 // and a hedged-request token budget (HedgeBudget).
 //
 // Deterministic on purpose: time is the caller's SimTime (simulated or a
@@ -46,14 +46,11 @@ struct BackoffPolicy {
   }
 };
 
-// Circuit breaker (closed -> open -> half-open -> closed). Closed passes
-// every attempt through; after `failure_threshold` consecutive failures the
-// circuit opens and attempts are rejected without touching the network
-// until a backoff-scheduled probe time. The first attempt after that probes
-// half-open: success closes the circuit, failure re-opens it with a longer
-// (capped, jittered) delay.
-class CircuitBreaker {
- public:
+// Circuit-breaker vocabulary. The breaker logic itself lives in the
+// EndpointHealth machine below; these types remain because
+// ProteusClient::Options configures it through `Policy` and
+// ProteusClient::breaker_state() reports it as a `State`.
+struct CircuitBreaker {
   enum class State { kClosed, kOpen, kHalfOpen };
 
   struct Policy {
@@ -61,48 +58,6 @@ class CircuitBreaker {
     BackoffPolicy backoff{/*base_delay=*/500 * kMillisecond,
                           /*max_delay=*/10 * kSecond};
   };
-
-  CircuitBreaker() : CircuitBreaker(Policy{}) {}
-  explicit CircuitBreaker(Policy policy) : policy_(policy) {
-    PROTEUS_CHECK(policy_.failure_threshold >= 1);
-  }
-
-  // May the caller attempt an operation now? Transitions open -> half-open
-  // when the probe time arrives (so at most one caller probes per window).
-  bool allow(SimTime now) noexcept {
-    if (state_ == State::kOpen) {
-      if (now < open_until_) return false;
-      state_ = State::kHalfOpen;
-    }
-    return true;
-  }
-
-  void record_success() noexcept {
-    state_ = State::kClosed;
-    consecutive_failures_ = 0;
-    open_count_ = 0;
-  }
-
-  void record_failure(SimTime now, Rng& rng) noexcept {
-    ++consecutive_failures_;
-    if (state_ == State::kHalfOpen ||
-        consecutive_failures_ >= policy_.failure_threshold) {
-      ++open_count_;
-      state_ = State::kOpen;
-      open_until_ = now + policy_.backoff.delay(open_count_, rng);
-    }
-  }
-
-  State state() const noexcept { return state_; }
-  SimTime open_until() const noexcept { return open_until_; }
-  int consecutive_failures() const noexcept { return consecutive_failures_; }
-
- private:
-  Policy policy_;
-  State state_ = State::kClosed;
-  int consecutive_failures_ = 0;
-  int open_count_ = 0;  // consecutive opens; scales the re-probe delay
-  SimTime open_until_ = 0;
 };
 
 // Decorrelated jitter (the AWS "decorrelated" variant): each delay is drawn

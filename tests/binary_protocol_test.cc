@@ -24,7 +24,7 @@ CacheConfig proto_config() {
 }
 
 struct Rig {
-  CacheServer server{proto_config()};
+  ShardedCacheServer server{proto_config(), 1};
   BinaryProtocolSession session{server};
 
   // Sends one request and decodes the (first) response frame.
@@ -382,6 +382,72 @@ TEST(BinaryProtocol, UnstampedItemEchoesStockExtrasOnOptIn) {
   EXPECT_EQ(got.status_or_vbucket, static_cast<std::uint16_t>(Status::kOk));
   ASSERT_EQ(got.extras.size(), 4u);
   EXPECT_EQ(binary::get_u32(got.extras, 0), 3u);
+}
+
+// --- store check order and oversized frames ---------------------------------
+
+TEST(BinaryProtocol, StaleEpochIsCheckedBeforeTheChecksum) {
+  // One order on both wires: fence, then reserved key, then lock and
+  // checksum. A SET that is both stale and corrupt answers stale-epoch and
+  // counts as a fenced write, never as a corrupt one.
+  Rig rig;
+  Frame raise = rig.make_set("k", "v");
+  raise.status_or_vbucket = 7;
+  EXPECT_EQ(rig.roundtrip(raise).status_or_vbucket,
+            static_cast<std::uint16_t>(Status::kOk));
+  const std::string value = "stale-and-rotted";
+  Frame both = rig.make_set("k", value);
+  both.status_or_vbucket = 3;  // below the adopted epoch 7
+  binary::put_u32(both.extras, crc32c(value) ^ 1u);
+  EXPECT_EQ(rig.roundtrip(both).status_or_vbucket,
+            static_cast<std::uint16_t>(Status::kStaleEpoch));
+  EXPECT_EQ(rig.server.stale_epoch_rejects(), 1u);
+  EXPECT_EQ(rig.server.stats().corrupt_set_rejects, 0u);
+  // A current stamp reaches the checksum, which still refuses the value.
+  both.status_or_vbucket = 7;
+  EXPECT_EQ(rig.roundtrip(both).status_or_vbucket,
+            static_cast<std::uint16_t>(Status::kBadChecksum));
+  EXPECT_EQ(rig.server.stats().corrupt_set_rejects, 1u);
+}
+
+TEST(BinaryProtocol, OversizedValueIsRefusedAndItsBodySkipped) {
+  Rig rig;
+  // A header declaring a value one byte over the whole budget is refused
+  // on the header alone; its body is skipped and the next frame is served.
+  Frame huge = rig.make_set("big", std::string(rig.server.memory_budget() + 1,
+                                               'x'));
+  huge.opaque = 0xb16;
+  Frame get = rig.make_get("big");
+  get.opaque = 0x6e7;
+  const std::string wire = binary::encode_frame(huge, binary::kRequestMagic) +
+                           binary::encode_frame(get, binary::kRequestMagic);
+  std::string out;
+  for (std::size_t pos = 0; pos < wire.size(); pos += 4096) {
+    out += rig.session.feed(std::string_view(wire).substr(pos, 4096), 0);
+  }
+  std::size_t consumed = 0;
+  const auto refused = binary::decode_frame(out, consumed);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->status_or_vbucket,
+            static_cast<std::uint16_t>(Status::kValueTooLarge));
+  EXPECT_EQ(refused->opaque, 0xb16u);
+  const auto miss =
+      binary::decode_frame(std::string_view(out).substr(consumed), consumed);
+  ASSERT_TRUE(miss.has_value());
+  EXPECT_EQ(miss->status_or_vbucket,
+            static_cast<std::uint16_t>(Status::kKeyNotFound));
+  EXPECT_EQ(miss->opaque, 0x6e7u);
+
+  // The largest total_body the header can declare: refused at once, with
+  // no body in sight (nothing is buffered waiting for 4 GiB).
+  Frame header = rig.make_set("k", "");
+  std::string max_wire = binary::encode_frame(header, binary::kRequestMagic);
+  max_wire[8] = max_wire[9] = max_wire[10] = max_wire[11] = '\xff';
+  const std::string max_out = Rig().session.feed(max_wire.substr(0, 24), 0);
+  const auto max_reply = binary::decode_frame(max_out, consumed);
+  ASSERT_TRUE(max_reply.has_value());
+  EXPECT_EQ(max_reply->status_or_vbucket,
+            static_cast<std::uint16_t>(Status::kValueTooLarge));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/binary_protocol.h"
 #include "cache/text_protocol.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -20,7 +21,47 @@
 namespace proteus {
 namespace {
 
+cache::CacheConfig small_cache() {
+  cache::CacheConfig cfg;
+  cfg.memory_budget_bytes = 4 << 20;
+  return cfg;
+}
+
 // --- protocol: responses must not depend on TCP segmentation ---------------
+
+// Feeds `wire` to `session` in random chunks of 1..max_chunk bytes.
+template <class Session>
+std::string feed_chunked(Session& session, std::string_view wire,
+                         std::uint64_t seed, std::size_t max_chunk) {
+  std::string out;
+  Rng chunk_rng(seed ^ max_chunk);
+  std::size_t pos = 0;
+  while (pos < wire.size()) {
+    const std::size_t n = std::min<std::size_t>(
+        wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
+    out += session.feed(wire.substr(pos, n), 0);
+    pos += n;
+  }
+  return out;
+}
+
+// Reference reply-stream hashes: 64-bit FNV-1a of the whole-feed replies of
+// the text scripts below. They were recorded from the sessions that kept
+// one implementation per protocol (and a bare-CacheServer mode) before the
+// shared CommandExecutor, so a reply byte moved by any later change fails
+// here even when every session agrees with every other.
+const std::map<std::uint64_t, std::uint64_t> kSegmentationReplyHash = {
+    {1, 0xc125552166006a91ULL},
+    {17, 0x3a88fd0a6c10c579ULL},
+    {3333, 0x7be1df7520bcdf4eULL},
+    {98765, 0x1c1dc21e1d74cb40ULL},
+};
+const std::map<std::uint64_t, std::uint64_t> kShardInvarianceReplyHash = {
+    {1, 0x9d462c884f91700bULL},
+    {17, 0xf42b6dc85babf9eaULL},
+    {3333, 0x766249609d944c2fULL},
+    {98765, 0x774ba974ef979c7cULL},
+};
 
 class ProtocolSegmentation : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -53,21 +94,13 @@ TEST_P(ProtocolSegmentation, ResponseInvariantUnderChunking) {
   const auto run_chunked = [&](std::size_t max_chunk) {
     cache::CacheConfig cfg;
     cfg.memory_budget_bytes = 4 << 20;
-    cache::CacheServer server(cfg);
+    cache::ShardedCacheServer server(cfg, 1);
     cache::TextProtocolSession session(server);
-    std::string out;
-    Rng chunk_rng(seed ^ max_chunk);
-    std::size_t pos = 0;
-    while (pos < wire.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
-      out += session.feed(std::string_view(wire).substr(pos, n), 0);
-      pos += n;
-    }
-    return out;
+    return feed_chunked(session, wire, seed, max_chunk);
   };
 
   const std::string whole = run_chunked(wire.size());
+  EXPECT_EQ(fnv1a(whole), kSegmentationReplyHash.at(seed));
   EXPECT_EQ(run_chunked(1), whole);    // byte-at-a-time
   EXPECT_EQ(run_chunked(7), whole);    // odd small chunks
   EXPECT_EQ(run_chunked(1024), whole); // mixed large chunks
@@ -76,15 +109,15 @@ TEST_P(ProtocolSegmentation, ResponseInvariantUnderChunking) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolSegmentation,
                          ::testing::Values(1ull, 17ull, 3333ull, 98765ull));
 
-// --- sharding: a 4-shard engine is reply-invariant vs the bare cache --------
+// --- sharding: a 4-shard engine is reply-invariant vs a 1-shard engine -----
 //
-// Same random script, same chunkings, two backends: a single CacheServer
-// and a 4-shard ShardedCacheServer. Lock striping is an implementation
-// detail — every reply byte, `stats` output included, must be identical.
+// Same random script, same chunkings, two shard counts. Lock striping is an
+// implementation detail — every reply byte, `stats` output included, must
+// be identical, and identical to the pinned reference hash.
 
 class ShardReplyInvariance : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ShardReplyInvariance, FourShardEngineMatchesBareCacheReplies) {
+TEST_P(ShardReplyInvariance, FourShardEngineMatchesOneShardReplies) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed);
 
@@ -112,44 +145,397 @@ TEST_P(ShardReplyInvariance, FourShardEngineMatchesBareCacheReplies) {
 
   cache::CacheConfig cfg;
   cfg.memory_budget_bytes = 4 << 20;
-  const auto run_bare = [&](std::size_t max_chunk) {
-    cache::CacheServer server(cfg);
-    cache::TextProtocolSession session(server);
-    std::string out;
-    Rng chunk_rng(seed ^ max_chunk);
-    std::size_t pos = 0;
-    while (pos < wire.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
-      out += session.feed(std::string_view(wire).substr(pos, n), 0);
-      pos += n;
-    }
-    return out;
-  };
-  const auto run_sharded = [&](std::size_t max_chunk) {
-    cache::ShardedCacheServer engine(cfg, 4);
+  const auto run = [&](int shards, std::size_t max_chunk) {
+    cache::ShardedCacheServer engine(cfg, shards);
     cache::TextProtocolSession session(engine);
-    std::string out;
-    Rng chunk_rng(seed ^ max_chunk);
-    std::size_t pos = 0;
-    while (pos < wire.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
-      out += session.feed(std::string_view(wire).substr(pos, n), 0);
-      pos += n;
-    }
-    return out;
+    return feed_chunked(session, wire, seed, max_chunk);
   };
 
-  const std::string bare = run_bare(wire.size());
-  EXPECT_EQ(run_sharded(wire.size()), bare);
-  EXPECT_EQ(run_sharded(1), bare);
-  EXPECT_EQ(run_sharded(7), bare);
-  EXPECT_EQ(run_sharded(1024), bare);
+  const std::string one = run(1, wire.size());
+  EXPECT_EQ(fnv1a(one), kShardInvarianceReplyHash.at(seed));
+  EXPECT_EQ(run(4, wire.size()), one);
+  EXPECT_EQ(run(4, 1), one);
+  EXPECT_EQ(run(4, 7), one);
+  EXPECT_EQ(run(4, 1024), one);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardReplyInvariance,
                          ::testing::Values(1ull, 17ull, 3333ull, 98765ull));
+
+// --- binary protocol: segmentation and shard-count invariance ---------------
+
+cache::binary::Frame binary_request(cache::binary::Opcode opcode,
+                                    std::string key) {
+  cache::binary::Frame f;
+  f.opcode = opcode;
+  f.key = std::move(key);
+  return f;
+}
+
+// A random but valid binary request script: sets (some CRC-stamped, some
+// with a CAS no item can carry), the four get variants, deletes, incr/decr
+// with and without create, and STAT.
+std::string binary_script(std::uint64_t seed) {
+  using cache::binary::Opcode;
+  namespace bin = cache::binary;
+  Rng rng(seed);
+  std::string wire;
+  for (int i = 0; i < 300; ++i) {
+    const std::string key = "k" + std::to_string(rng.next_below(40));
+    bin::Frame f;
+    switch (rng.next_below(7)) {
+      case 0: {
+        static constexpr Opcode kStores[] = {Opcode::kSet, Opcode::kSet,
+                                             Opcode::kAdd, Opcode::kReplace};
+        f = binary_request(kStores[rng.next_below(4)], key);
+        const auto len = rng.next_below(64);
+        for (std::uint64_t b = 0; b < len; ++b) {
+          f.value += static_cast<char>('a' + rng.next_below(26));
+        }
+        if (rng.next_below(5) == 0) f.value = std::to_string(rng.next_below(50));
+        bin::put_u32(f.extras, static_cast<std::uint32_t>(rng.next_below(100)));
+        bin::put_u32(f.extras, 0);  // expiry
+        if (rng.next_below(3) == 0) bin::put_u32(f.extras, crc32c(f.value));
+        if (rng.next_below(8) == 0) f.cas = 0xfeedfacecafeULL;  // never issued
+        break;
+      }
+      case 1: {
+        static constexpr Opcode kGets[] = {Opcode::kGet, Opcode::kGetK,
+                                           Opcode::kGetQ, Opcode::kGetKQ};
+        f = binary_request(kGets[rng.next_below(4)], key);
+        if (rng.next_below(2) == 0) bin::put_u32(f.extras, 0);  // crc echo
+        break;
+      }
+      case 2:
+        f = binary_request(Opcode::kDelete, key);
+        break;
+      case 3:
+      case 4:
+        f = binary_request(rng.next_below(2) == 0 ? Opcode::kIncrement
+                                                  : Opcode::kDecrement,
+                           key);
+        bin::put_u64(f.extras, rng.next_below(10));  // delta
+        bin::put_u64(f.extras, rng.next_below(10));  // initial
+        bin::put_u32(f.extras, rng.next_below(2) == 0 ? 0 : 0xffffffffu);
+        break;
+      case 5:
+        f = binary_request(Opcode::kStat, "");
+        break;
+      case 6:
+        f = binary_request(Opcode::kNoop, "");
+        break;
+    }
+    f.opaque = static_cast<std::uint32_t>(i);
+    wire += bin::encode_frame(f, bin::kRequestMagic);
+  }
+  return wire;
+}
+
+// Zeroes the CAS field of every response frame. CAS values are opaque
+// per-shard versions (each shard numbers its own stores), so they are the
+// one reply field a shard count may legitimately change.
+std::string mask_cas(std::string stream) {
+  std::size_t pos = 0;
+  while (pos + cache::binary::kHeaderSize <= stream.size()) {
+    std::fill_n(stream.begin() + static_cast<std::ptrdiff_t>(pos + 16), 8, '\0');
+    pos += cache::binary::kHeaderSize +
+           cache::binary::get_u32(std::string_view(stream), pos + 8);
+  }
+  return stream;
+}
+
+class BinaryProtocolFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BinaryProtocolFuzz, ResponseInvariantUnderChunking) {
+  const std::uint64_t seed = GetParam();
+  const std::string wire = binary_script(seed);
+  const auto run = [&](std::size_t max_chunk) {
+    cache::ShardedCacheServer engine(small_cache(), 1);
+    cache::BinaryProtocolSession session(engine);
+    return feed_chunked(session, wire, seed, max_chunk);
+  };
+  const std::string whole = run(wire.size());
+  ASSERT_FALSE(whole.empty());
+  EXPECT_EQ(run(1), whole);
+  EXPECT_EQ(run(7), whole);
+  EXPECT_EQ(run(1024), whole);
+}
+
+TEST_P(BinaryProtocolFuzz, FourShardEngineMatchesOneShardReplies) {
+  const std::uint64_t seed = GetParam();
+  const std::string wire = binary_script(seed);
+  const auto run = [&](int shards, std::size_t max_chunk) {
+    cache::ShardedCacheServer engine(small_cache(), shards);
+    cache::BinaryProtocolSession session(engine);
+    return mask_cas(feed_chunked(session, wire, seed, max_chunk));
+  };
+  const std::string one = run(1, wire.size());
+  EXPECT_EQ(run(4, wire.size()), one);
+  EXPECT_EQ(run(4, 1), one);
+  EXPECT_EQ(run(4, 7), one);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BinaryProtocolFuzz,
+                         ::testing::Values(3ull, 64ull, 4099ull, 271828ull));
+
+// --- cross-protocol: one op script, two encodings, one executor -------------
+//
+// The same seeded operations encoded once as text and once as binary must
+// produce the same sequence of executor outcomes — decoded from each wire
+// through the docs/PROTOCOL.md outcome table — the same values, and the
+// same final stats.
+
+struct ScriptOp {
+  enum Kind { kSet, kAdd, kReplace, kGet, kDelete, kIncr, kDecr } kind;
+  std::string key;
+  std::string value;  // stores
+  std::uint32_t flags = 0;
+  std::uint64_t epoch = 0;  // fencing stamp (0 = unstamped)
+  int crc = 0;              // stores: 0 = none, 1 = good, 2 = bad
+  std::uint64_t delta = 0;  // incr/decr
+};
+
+std::vector<ScriptOp> cross_protocol_script(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ScriptOp> ops;
+  for (int i = 0; i < 400; ++i) {
+    ScriptOp op;
+    op.kind = static_cast<ScriptOp::Kind>(rng.next_below(7));
+    const auto pick = rng.next_below(40);
+    op.key = pick == 0   ? std::string(cache::kGetBloomFilterKey)
+             : pick == 1 ? std::string(cache::kEpochKey)
+                         : "k" + std::to_string(pick % 24);
+    if (op.kind <= ScriptOp::kReplace) {
+      op.value = rng.next_below(3) == 0
+                     ? std::to_string(rng.next_below(1000))
+                     : std::string(1 + rng.next_below(40),
+                                   static_cast<char>('a' + rng.next_below(26)));
+      op.flags = static_cast<std::uint32_t>(rng.next_below(50));
+      op.crc = static_cast<int>(rng.next_below(3));
+    }
+    // Epochs only climb slowly, so stale stamps keep appearing.
+    if (rng.next_below(4) == 0) op.epoch = 1 + rng.next_below(6);
+    op.delta = rng.next_below(7);
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+struct Observed {
+  cache::Outcome outcome;
+  std::string value;  // get hit value / new counter value
+  bool operator==(const Observed&) const = default;
+};
+
+std::vector<Observed> run_text(const std::vector<ScriptOp>& ops,
+                               std::map<std::string, std::uint64_t>& stats) {
+  cache::ShardedCacheServer engine(small_cache(), 4);
+  cache::TextProtocolSession session(engine);
+  std::vector<Observed> seen;
+  for (const ScriptOp& op : ops) {
+    std::string tail;
+    if (op.epoch != 0) tail += " " + obs::encode_epoch_token(op.epoch);
+    std::string reply;
+    switch (op.kind) {
+      case ScriptOp::kSet:
+      case ScriptOp::kAdd:
+      case ScriptOp::kReplace: {
+        static constexpr const char* kVerb[] = {"set", "add", "replace"};
+        if (op.crc != 0) {
+          tail += " " + obs::encode_checksum_token(crc32c(op.value) ^
+                                                   (op.crc == 2 ? 1u : 0u));
+        }
+        reply = session.feed(std::string(kVerb[op.kind]) + " " + op.key + " " +
+                                 std::to_string(op.flags) + " 0 " +
+                                 std::to_string(op.value.size()) + tail +
+                                 "\r\n" + op.value + "\r\n",
+                             0);
+        break;
+      }
+      case ScriptOp::kGet:
+        reply = session.feed("get " + op.key + tail + "\r\n", 0);
+        break;
+      case ScriptOp::kDelete:
+        reply = session.feed("delete " + op.key + tail + "\r\n", 0);
+        break;
+      case ScriptOp::kIncr:
+      case ScriptOp::kDecr:
+        reply = session.feed(std::string(op.kind == ScriptOp::kIncr ? "incr "
+                                                                    : "decr ") +
+                                 op.key + " " + std::to_string(op.delta) +
+                                 "\r\n",
+                             0);
+        break;
+    }
+    // Decode through the outcome table; NOT_STORED is kExists for add and
+    // kNotFound for replace.
+    using cache::Outcome;
+    Observed o{Outcome::kOk, {}};
+    if (op.kind == ScriptOp::kGet) {
+      if (reply == "END\r\n") {
+        o.outcome = Outcome::kNotFound;
+      } else {
+        const std::size_t eol = reply.find("\r\n");
+        const std::size_t len = std::stoul(reply.substr(reply.rfind(' ', eol) + 1));
+        o.value = reply.substr(eol + 2, len);
+      }
+    } else if (reply == "NOT_STORED\r\n") {
+      o.outcome = op.kind == ScriptOp::kAdd ? Outcome::kExists
+                                            : Outcome::kNotFound;
+    } else if (reply == "NOT_FOUND\r\n") {
+      o.outcome = Outcome::kNotFound;
+    } else if (reply == "SERVER_ERROR stale-epoch\r\n") {
+      o.outcome = Outcome::kStaleEpoch;
+    } else if (reply == "SERVER_ERROR bad-checksum\r\n") {
+      o.outcome = Outcome::kBadChecksum;
+    } else if (reply == "CLIENT_ERROR reserved key\r\n") {
+      o.outcome = Outcome::kReservedKey;
+    } else if (reply == "CLIENT_ERROR bad epoch payload\r\n") {
+      o.outcome = Outcome::kBadEpochValue;
+    } else if (reply.rfind("CLIENT_ERROR cannot increment", 0) == 0) {
+      o.outcome = Outcome::kNotNumeric;
+    } else if (op.kind == ScriptOp::kIncr || op.kind == ScriptOp::kDecr) {
+      o.value = reply.substr(0, reply.size() - 2);
+    } else {
+      EXPECT_TRUE(reply == "STORED\r\n" || reply == "DELETED\r\n") << reply;
+    }
+    seen.push_back(std::move(o));
+  }
+  const std::string text = session.feed("stats\r\n", 0);
+  std::size_t pos = 0;
+  while ((pos = text.find("STAT ", pos)) != std::string::npos) {
+    const std::size_t space = text.find(' ', pos + 5);
+    const std::size_t eol = text.find("\r\n", space);
+    stats[text.substr(pos + 5, space - pos - 5)] =
+        std::stoull(text.substr(space + 1, eol - space - 1));
+    pos = eol;
+  }
+  return seen;
+}
+
+std::vector<Observed> run_binary(const std::vector<ScriptOp>& ops,
+                                 std::map<std::string, std::uint64_t>& stats) {
+  using cache::binary::Opcode;
+  using cache::binary::Status;
+  namespace bin = cache::binary;
+  cache::ShardedCacheServer engine(small_cache(), 4);
+  cache::BinaryProtocolSession session(engine);
+  const auto roundtrip = [&](const bin::Frame& request) {
+    const std::string out =
+        session.feed(bin::encode_frame(request, bin::kRequestMagic), 0);
+    std::size_t consumed = 0;
+    auto reply = bin::decode_frame(out, consumed);
+    EXPECT_TRUE(reply.has_value());
+    return reply.value_or(bin::Frame{});
+  };
+  std::vector<Observed> seen;
+  for (const ScriptOp& op : ops) {
+    bin::Frame f;
+    f.key = op.key;
+    f.status_or_vbucket = static_cast<std::uint16_t>(op.epoch);
+    switch (op.kind) {
+      case ScriptOp::kSet:
+      case ScriptOp::kAdd:
+      case ScriptOp::kReplace:
+        f.opcode = op.kind == ScriptOp::kSet   ? Opcode::kSet
+                   : op.kind == ScriptOp::kAdd ? Opcode::kAdd
+                                               : Opcode::kReplace;
+        f.value = op.value;
+        bin::put_u32(f.extras, op.flags);
+        bin::put_u32(f.extras, 0);
+        if (op.crc != 0) {
+          bin::put_u32(f.extras, crc32c(op.value) ^ (op.crc == 2 ? 1u : 0u));
+        }
+        break;
+      case ScriptOp::kGet:
+        f.opcode = Opcode::kGet;
+        break;
+      case ScriptOp::kDelete:
+        f.opcode = Opcode::kDelete;
+        break;
+      case ScriptOp::kIncr:
+      case ScriptOp::kDecr:
+        // Text incr/decr never stamp an epoch and never create.
+        f.status_or_vbucket = 0;
+        f.opcode = op.kind == ScriptOp::kIncr ? Opcode::kIncrement
+                                              : Opcode::kDecrement;
+        bin::put_u64(f.extras, op.delta);
+        bin::put_u64(f.extras, 0);
+        bin::put_u32(f.extras, 0xffffffffu);
+        break;
+    }
+    const bin::Frame reply = roundtrip(f);
+    using cache::Outcome;
+    Observed o{Outcome::kOk, {}};
+    switch (static_cast<Status>(reply.status_or_vbucket)) {
+      case Status::kOk:
+        if (op.kind == ScriptOp::kGet) o.value = reply.value;
+        if (op.kind == ScriptOp::kIncr || op.kind == ScriptOp::kDecr) {
+          o.value = std::to_string(bin::get_u64(reply.value, 0));
+        }
+        break;
+      case Status::kKeyNotFound: o.outcome = Outcome::kNotFound; break;
+      case Status::kKeyExists: o.outcome = Outcome::kExists; break;
+      case Status::kDeltaBadValue: o.outcome = Outcome::kNotNumeric; break;
+      case Status::kStaleEpoch: o.outcome = Outcome::kStaleEpoch; break;
+      case Status::kBadChecksum: o.outcome = Outcome::kBadChecksum; break;
+      case Status::kNotStored: o.outcome = Outcome::kReservedKey; break;
+      case Status::kInvalidArguments:
+        o.outcome = Outcome::kBadEpochValue;
+        break;
+      default:
+        ADD_FAILURE() << "unexpected status " << reply.status_or_vbucket;
+    }
+    seen.push_back(std::move(o));
+  }
+  const std::string out =
+      session.feed(bin::encode_frame(binary_request(Opcode::kStat, ""),
+                                     bin::kRequestMagic),
+                   0);
+  std::size_t pos = 0;
+  while (pos < out.size()) {
+    std::size_t consumed = 0;
+    const auto frame = bin::decode_frame(std::string_view(out).substr(pos), consumed);
+    if (!frame.has_value()) break;
+    if (!frame->key.empty()) stats[frame->key] = std::stoull(frame->value);
+    pos += consumed;
+  }
+  return seen;
+}
+
+class CrossProtocolOutcomes : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CrossProtocolOutcomes, TextAndBinaryEncodingsYieldTheSameOutcomes) {
+  const std::vector<ScriptOp> ops = cross_protocol_script(GetParam());
+  std::map<std::string, std::uint64_t> text_stats, binary_stats;
+  const std::vector<Observed> text = run_text(ops, text_stats);
+  const std::vector<Observed> binary = run_binary(ops, binary_stats);
+  ASSERT_EQ(text.size(), binary.size());
+  std::set<cache::Outcome> kinds;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    EXPECT_EQ(text[i], binary[i])
+        << "op " << i << " (" << ops[i].key << ") text outcome "
+        << static_cast<int>(text[i].outcome) << " binary outcome "
+        << static_cast<int>(binary[i].outcome);
+    kinds.insert(text[i].outcome);
+  }
+  // The script reaches every outcome a sequential single client can see.
+  for (const cache::Outcome o :
+       {cache::Outcome::kOk, cache::Outcome::kNotFound, cache::Outcome::kExists,
+        cache::Outcome::kNotNumeric, cache::Outcome::kStaleEpoch,
+        cache::Outcome::kBadChecksum, cache::Outcome::kReservedKey}) {
+    EXPECT_TRUE(kinds.count(o)) << "outcome " << static_cast<int>(o);
+  }
+  // Every stat the binary STAT stream reports matches the text `stats`.
+  ASSERT_EQ(binary_stats.size(), 10u);
+  for (const auto& [name, value] : binary_stats) {
+    ASSERT_TRUE(text_stats.count(name)) << name;
+    EXPECT_EQ(text_stats.at(name), value) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CrossProtocolOutcomes,
+                         ::testing::Values(8ull, 1234ull, 99991ull));
 
 // --- facade: random op/resize interleavings never serve stale data ----------
 
@@ -245,7 +631,7 @@ TEST_P(ShedPathFuzz, PipelineShedKeepsProtocolSyncUnderChunking) {
                                         std::size_t{4096}}) {
       cache::CacheConfig cfg;
       cfg.memory_budget_bytes = 4 << 20;
-      cache::CacheServer server(cfg);
+      cache::ShardedCacheServer server(cfg, 1);
       std::atomic<std::uint64_t> sheds{0};
       cache::TextProtocolSession session(server, nullptr, nullptr, -1,
                                          cache::PipelinePolicy{cap, &sheds});
@@ -375,7 +761,7 @@ TEST_P(TraceTokenProtocolFuzz, TokenedScriptMatchesUntokenedReplies) {
                        std::size_t max_chunk) {
     cache::CacheConfig cfg;
     cfg.memory_budget_bytes = 4 << 20;
-    cache::CacheServer server(cfg);
+    cache::ShardedCacheServer server(cfg, 1);
     cache::TextProtocolSession session(server, nullptr, spans, /*server_id=*/3);
     std::string out;
     Rng chunk_rng(seed ^ max_chunk);
@@ -410,14 +796,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TraceTokenProtocolFuzz,
 
 // --- meta tokens: O (trace), E (epoch), C (checksum) combine in ANY order ----
 
-cache::CacheConfig small_cache() {
-  cache::CacheConfig cfg;
-  cfg.memory_budget_bytes = 4 << 20;
-  return cfg;
-}
-
 TEST(MetaTokenPermutations, GetAcceptsEveryTokenOrder) {
-  cache::CacheServer server(small_cache());
+  cache::ShardedCacheServer server(small_cache(), 1);
   cache::TextProtocolSession session(server);
 
   const std::string value = "integrity-checked-payload";
@@ -465,7 +845,7 @@ TEST(MetaTokenPermutations, GetAcceptsEveryTokenOrder) {
 }
 
 TEST(MetaTokenPermutations, SetAcceptsEveryTokenOrderAndStamps) {
-  cache::CacheServer server(small_cache());
+  cache::ShardedCacheServer server(small_cache(), 1);
   cache::TextProtocolSession session(server);
 
   const std::string value = "stamped-at-set-time";
@@ -563,7 +943,7 @@ TEST_P(MetaTokenOrderFuzz, ShuffledTokenTailsMatchAndEchoCorrectChecksums) {
   }
 
   const auto run = [&](const std::string& wire, std::size_t max_chunk) {
-    cache::CacheServer server(small_cache());
+    cache::ShardedCacheServer server(small_cache(), 1);
     cache::TextProtocolSession session(server);
     std::string out;
     Rng chunk_rng(seed ^ max_chunk);

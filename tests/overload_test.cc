@@ -255,7 +255,7 @@ cache::CacheConfig proto_config() {
 }
 
 TEST(TextPipelineCap, ShedsExcessCommandsWithWellFormedReplies) {
-  cache::CacheServer server(proto_config());
+  cache::ShardedCacheServer server(proto_config(), 1);
   std::atomic<std::uint64_t> sheds{0};
   cache::TextProtocolSession session(server, nullptr, nullptr, -1,
                                      cache::PipelinePolicy{1, &sheds});
@@ -271,7 +271,7 @@ TEST(TextPipelineCap, ShedsExcessCommandsWithWellFormedReplies) {
 }
 
 TEST(TextPipelineCap, ShedStorageCommandStillConsumesItsDataBlock) {
-  cache::CacheServer server(proto_config());
+  cache::ShardedCacheServer server(proto_config(), 1);
   std::atomic<std::uint64_t> sheds{0};
   cache::TextProtocolSession session(server, nullptr, nullptr, -1,
                                      cache::PipelinePolicy{1, &sheds});
@@ -287,7 +287,7 @@ TEST(TextPipelineCap, ShedStorageCommandStillConsumesItsDataBlock) {
 }
 
 TEST(TextPipelineCap, QuitIsExemptFromTheCap) {
-  cache::CacheServer server(proto_config());
+  cache::ShardedCacheServer server(proto_config(), 1);
   std::atomic<std::uint64_t> sheds{0};
   cache::TextProtocolSession session(server, nullptr, nullptr, -1,
                                      cache::PipelinePolicy{1, &sheds});
@@ -315,7 +315,7 @@ TEST(BinaryPipelineCap, ShedsExcessFramesWithEbusy) {
   using cache::binary::Frame;
   using cache::binary::Opcode;
   using cache::binary::Status;
-  cache::CacheServer server(proto_config());
+  cache::ShardedCacheServer server(proto_config(), 1);
   std::atomic<std::uint64_t> sheds{0};
   cache::BinaryProtocolSession session(server, nullptr, -1,
                                        cache::PipelinePolicy{1, &sheds});

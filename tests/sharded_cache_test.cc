@@ -383,6 +383,42 @@ TEST(ShardedCache, DeadlineTimeoutShedsOnceOnBinaryHandler) {
   EXPECT_EQ(pipeline_sheds.load(), 0u);
 }
 
+// Lock-clock seam: steady time in microseconds, shifted by g_clock_step
+// from the second read on — a clock step that lands after the waiter
+// started waiting.
+std::atomic<int> g_clock_reads{0};
+std::atomic<SimTime> g_clock_step{0};
+SimTime stepped_clock() noexcept {
+  const SimTime real = std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::steady_clock::now().time_since_epoch())
+                           .count();
+  return g_clock_reads.fetch_add(1) == 0 ? real : real + g_clock_step.load();
+}
+
+TEST(ShardedCache, LockDeadlineFollowsTheLockClockAcrossSteps) {
+  ShardedCacheServer engine(small_config(), 4);
+  engine.set_lock_clock(&stepped_clock);
+  ShardHolder holder(engine, 1);
+  const auto shed_after_ms = [&engine](SimTime step, SimTime deadline) {
+    g_clock_reads.store(0);
+    g_clock_step.store(step);
+    const auto t0 = std::chrono::steady_clock::now();
+    const ShardedCacheServer::Guard guard = engine.lock_shard_for(1, deadline);
+    EXPECT_FALSE(guard.owns_lock());
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  // The clock steps back an hour while the lock is held elsewhere: the
+  // wait still ends on its 20 ms deadline, not an hour late.
+  const double back_ms = shed_after_ms(-3600 * kSecond, 20 * kMillisecond);
+  EXPECT_GE(back_ms, 20.0);
+  EXPECT_LT(back_ms, 2000.0);
+  // The clock steps forward past a one-hour deadline: the wait ends at
+  // once, so no timer on any other clock bounds it.
+  EXPECT_LT(shed_after_ms(2 * 3600 * kSecond, 3600 * kSecond), 2000.0);
+}
+
 TEST(ShardedCache, PipelineCapShedNeverDoubleCountsAsDeadlineShed) {
   ShardedCacheServer engine(small_config(), 4);
   std::atomic<std::uint64_t> pipeline_sheds{0};

@@ -22,8 +22,9 @@ CacheConfig proto_config() {
 }
 
 struct Rig {
-  CacheServer server{proto_config()};
-  TextProtocolSession session{server};
+  ShardedCacheServer engine{proto_config(), 1};
+  CacheServer& server = engine.shard(0);  // the one shard, for test hooks
+  TextProtocolSession session{engine};
   std::string run(std::string_view wire, SimTime now = 0) {
     return session.feed(wire, now);
   }
@@ -185,7 +186,7 @@ TEST(TextProtocol, IncrDecr) {
 TEST(TextProtocol, TouchRefreshesHotness) {
   CacheConfig cfg = proto_config();
   cfg.item_ttl = 10 * kSecond;
-  CacheServer server(cfg);
+  ShardedCacheServer server(cfg, 1);
   TextProtocolSession session(server);
   session.feed("set k 0 0 1\r\nx\r\n", 0);
   EXPECT_EQ(session.feed("touch k 0\r\n", 8 * kSecond), "TOUCHED\r\n");
@@ -259,7 +260,7 @@ TEST(TextProtocol, StatsResetZeroesCounters) {
 }
 
 TEST(TextProtocol, StatsProteusRendersRegistry) {
-  CacheServer server{proto_config()};
+  ShardedCacheServer server{proto_config(), 1};
   obs::MetricsRegistry registry;
   registry.counter("demo_total", "a counter")->inc(7);
   TextProtocolSession session(server, &registry);
@@ -338,7 +339,7 @@ TEST(TextProtocol, FlagsSurviveEvictionBoundary) {
   CacheConfig cfg = proto_config();
   cfg.memory_budget_bytes = 400;
   cfg.per_item_overhead = 0;
-  CacheServer server(cfg);
+  ShardedCacheServer server(cfg, 1);
   TextProtocolSession session(server);
   session.feed("set a 11 0 300\r\n" + std::string(300, 'x') + "\r\n", 0);
   session.feed("set b 22 0 300\r\n" + std::string(300, 'y') + "\r\n", 0);
@@ -380,6 +381,62 @@ TEST(TextProtocol, BadChecksumSetCountsTheReject) {
   EXPECT_EQ(rig.run("get ck\r\n"), "END\r\n");
   const std::string stats = rig.run("stats\r\n");
   EXPECT_NE(stats.find("STAT corrupt_set_rejects 1\r\n"), std::string::npos);
+}
+
+// --- store check order and oversized data blocks ----------------------------
+
+TEST(TextProtocol, StaleEpochIsCheckedBeforeTheChecksum) {
+  // One order on both wires: fence, then reserved key, then lock and
+  // checksum. A set that is both stale and corrupt answers stale-epoch and
+  // counts as a fenced write, never as a corrupt one.
+  Rig rig;
+  ASSERT_EQ(rig.run("set k 0 0 1 " + obs::encode_epoch_token(7) + "\r\nv\r\n"),
+            "STORED\r\n");
+  const std::string value = "stale-and-rotted";
+  const std::string bad = obs::encode_checksum_token(crc32c(value) ^ 1u);
+  const std::string head = "set k 0 0 " + std::to_string(value.size());
+  EXPECT_EQ(rig.run(head + " " + obs::encode_epoch_token(3) + " " + bad +
+                    "\r\n" + value + "\r\n"),
+            "SERVER_ERROR stale-epoch\r\n");
+  std::string stats = rig.run("stats\r\n");
+  EXPECT_NE(stats.find("STAT stale_epoch_rejects 1\r\n"), std::string::npos);
+  EXPECT_NE(stats.find("STAT corrupt_set_rejects 0\r\n"), std::string::npos);
+  // A current stamp reaches the checksum, which still refuses the value.
+  EXPECT_EQ(rig.run(head + " " + obs::encode_epoch_token(7) + " " + bad +
+                    "\r\n" + value + "\r\n"),
+            "SERVER_ERROR bad-checksum\r\n");
+  stats = rig.run("stats\r\n");
+  EXPECT_NE(stats.find("STAT corrupt_set_rejects 1\r\n"), std::string::npos);
+}
+
+TEST(TextProtocol, OversizedDataBlockIsRefusedAndSkipped) {
+  Rig rig;
+  // One byte over the whole budget: refused on the command line, the data
+  // block is skipped without being stored, and the stream resumes after it.
+  const std::size_t n = rig.engine.memory_budget() + 1;
+  const std::string wire = "set big 0 0 " + std::to_string(n) + "\r\n" +
+                           std::string(n, 'x') + "\r\nget big\r\n";
+  std::string out;
+  for (std::size_t pos = 0; pos < wire.size(); pos += 4096) {
+    out += rig.run(std::string_view(wire).substr(pos, 4096));
+  }
+  EXPECT_EQ(out, "SERVER_ERROR object too large for cache\r\nEND\r\n");
+  EXPECT_EQ(rig.run("set ok 0 0 2 noreply\r\nhi\r\nget ok\r\n"),
+            "VALUE ok 0 2\r\nhi\r\nEND\r\n");
+  // noreply suppresses the refusal like any other reply.
+  EXPECT_EQ(rig.run("set big 0 0 " + std::to_string(n) + " noreply\r\n" +
+                    std::string(n, 'x') + "\r\nget ok\r\n"),
+            "VALUE ok 0 2\r\nhi\r\nEND\r\n");
+}
+
+TEST(TextProtocol, MaximalDeclaredLengthNeverReadsPastTheBuffer) {
+  // <bytes> = SIZE_MAX: `bytes + 2` would wrap to 1 and index the buffer at
+  // SIZE_MAX. It is refused before any payload is awaited.
+  Rig rig;
+  EXPECT_EQ(rig.run("set k 0 0 18446744073709551615\r\nx"),
+            "SERVER_ERROR object too large for cache\r\n");
+  EXPECT_EQ(rig.run(std::string(1 << 16, 'y')), "");  // skipped, not buffered
+  EXPECT_FALSE(rig.session.closed());
 }
 
 }  // namespace
