@@ -7,7 +7,6 @@
 #include "hashring/modulo_placement.h"
 #include "hashring/proteus_placement.h"
 #include "hashring/random_vn_placement.h"
-#include "hashring/routing_table.h"
 
 namespace {
 
@@ -65,28 +64,6 @@ void BM_RandomRingLookupFewActive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomRingLookupFewActive);
-
-void BM_CompiledRoutingTableLookup(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  ProteusPlacement p(n);
-  RoutingTable table(p, n);
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.server_for(rng.next_u64()));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_CompiledRoutingTableLookup)->Arg(10)->Arg(100);
-
-void BM_RoutingTableCompilation(benchmark::State& state) {
-  // Cost paid once per provisioning transition on each web server.
-  ProteusPlacement p(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    RoutingTable table(p, p.max_servers() / 2 + 1);
-    benchmark::DoNotOptimize(table.memory_bytes());
-  }
-}
-BENCHMARK(BM_RoutingTableCompilation)->Arg(10)->Arg(100);
 
 void BM_ProteusConstruction(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -18,6 +18,7 @@
 #include "cache/cache_server.h"
 #include "common/check.h"
 #include "common/hash.h"
+#include "hashring/replicated_ring.h"
 
 namespace proteus::client {
 
@@ -241,35 +242,6 @@ std::optional<std::string> MemcacheConnection::read_line(SimTime deadline) {
     fail(net::NetError::kReset);
     return std::nullopt;
   }
-}
-
-bool MemcacheConnection::read_exact(std::size_t n, std::string& out,
-                                    SimTime deadline) {
-  while (buffer_.size() < n) {
-    char chunk[4096];
-    const ssize_t r = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (r > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(r));
-      continue;
-    }
-    if (r == 0) {
-      fail(net::NetError::kReset);
-      return false;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!await_io(POLLIN, deadline)) {
-        fail(net::NetError::kTimeout);
-        return false;
-      }
-      continue;
-    }
-    fail(net::NetError::kReset);
-    return false;
-  }
-  out = buffer_.substr(0, n);
-  buffer_.erase(0, n);
-  return true;
 }
 
 bool MemcacheConnection::begin_get(std::string_view key,
@@ -631,15 +603,8 @@ ProteusClient::ProteusClient(Options options, Backend backend)
   PROTEUS_CHECK(backend_ != nullptr);
   PROTEUS_CHECK(!options_.endpoints.empty());
   PROTEUS_CHECK(options_.max_attempts >= 1);
-  PROTEUS_CHECK(options_.replicas >= 1);
-  // The historical breaker knobs stay authoritative for the fail-stop path
-  // of the phi-accrual detector: consecutive-error threshold and the
-  // quarantine dwell schedule map one-to-one.
-  core::EndpointHealth::Policy hp = options_.health;
-  hp.error_threshold = options_.breaker.failure_threshold;
-  hp.quarantine_base = options_.breaker.backoff.base_delay;
-  hp.quarantine_cap =
-      std::max(options_.breaker.backoff.max_delay, hp.quarantine_base);
+  PROTEUS_CHECK(options_.replicas >= 1 &&
+                options_.replicas <= cluster::TransitionRead::kMaxReplicas);
   endpoints_.reserve(options_.endpoints.size());
   for (std::size_t i = 0; i < options_.endpoints.size(); ++i) {
     Endpoint ep;
@@ -647,7 +612,7 @@ ProteusClient::ProteusClient(Options options, Backend backend)
                   ? options_.hosts[i]
                   : "127.0.0.1";
     ep.port = options_.endpoints[i];
-    ep.health = core::EndpointHealth(hp);
+    ep.health = core::EndpointHealth(options_.health);
     endpoints_.push_back(std::move(ep));
   }
 }
@@ -702,14 +667,14 @@ MemcacheConnection* ProteusClient::acquire(int server, SimTime now) {
 void ProteusClient::record_failure(int server, net::NetError error,
                                    SimTime now) {
   if (error == net::NetError::kOverloaded) {
-    // A shed is a healthy server protecting itself — no breaker penalty
-    // (opening the breaker would shift load onto its equally loaded peers).
+    // A shed is a healthy server protecting itself — no health penalty
+    // (quarantining it would shift load onto its equally loaded peers).
     ++stats_.server_sheds;
     return;
   }
   if (error == net::NetError::kStaleEpoch) {
     // A fencing refusal is correctness, not ill health: the daemon is alive
-    // and protecting the cluster from our outdated view. No breaker
+    // and protecting the cluster from our outdated view. No health
     // penalty, no retry — the caller refreshes the view instead.
     ++stats_.stale_epoch_rejects;
     return;
@@ -849,12 +814,11 @@ ProteusClient::FetchResult ProteusClient::cache_get(int server,
   return {FetchStatus::kDown, {}};
 }
 
-int ProteusClient::pick_backup(std::string_view key, int primary) const {
-  if (options_.replicas <= 1) return -1;
-  for (int server : replica_locations(key)) {
-    if (server == primary) continue;
-    if (endpoints_[static_cast<std::size_t>(server)].health.state() ==
-        core::EndpointHealth::State::kQuarantined) {
+int ProteusClient::pick_backup(const cluster::TransitionRead& read) const {
+  for (int server : read) {
+    if (server == read.primary() ||
+        endpoints_[static_cast<std::size_t>(server)].health.state() ==
+            core::EndpointHealth::State::kQuarantined) {
       continue;
     }
     return server;
@@ -1173,21 +1137,6 @@ std::optional<bloom::BloomFilter> ProteusClient::fetch_digest(int server,
   return std::nullopt;
 }
 
-std::vector<int> ProteusClient::replica_locations(std::string_view key) const {
-  const std::uint64_t h = hash_bytes(key);
-  const int active = router_.active();
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(options_.replicas));
-  for (int r = 0; r < options_.replicas; ++r) {
-    const int server =
-        placement_->server_for(ring::replica_ring_hash(h, r), active);
-    if (std::find(out.begin(), out.end(), server) == out.end()) {
-      out.push_back(server);
-    }
-  }
-  return out;
-}
-
 void ProteusClient::tick(SimTime now) {
   // Background probe traffic: quarantined endpoints whose dwell elapsed are
   // pinged with a cheap `version` even if routing sends them nothing, so
@@ -1262,153 +1211,112 @@ std::string ProteusClient::get(std::string_view key, SimTime now) {
 
 std::string ProteusClient::get_inner(std::string_view key, SimTime now,
                                      obs::TraceContext& ctx) {
+  using Step = cluster::TransitionRead::Step;
+  using Fetch = cluster::TransitionRead::Fetch;
+  using Outcome = cluster::TransitionRead::Outcome;
   tick(now);
   ++stats_.gets;
-  if (ctx.active()) {
-    ctx.in_transition = router_.in_transition();
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kRoute);
-  }
-  const cluster::Router::Decision d = router_.decide(key);
-  if (ctx.active() && ctx.in_transition) {
-    // decide() consulted the old mapping's digest (§IV-A); surface that
-    // step and its verdict as its own child.
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kDigestConsult, d.primary,
-              d.fallback >= 0 ? obs::SpanCause::kDigestHot
-                              : obs::SpanCause::kDigestCold);
-  }
-
-  // The foreground fetch is hedged: past the primary's adaptive delay a
-  // budgeted backup GET races it on the key's replica location (or, with no
-  // replica, the slow primary is abandoned in favor of the database).
-  const int backup = options_.hedging ? pick_backup(key, d.primary) : -1;
-  FetchResult primary =
-      options_.hedging
-          ? hedged_get(d.primary, backup, key, now, ctx)
-          : cache_get(d.primary, key, now, ctx, obs::SpanKind::kCacheGet);
-  if (primary.status == FetchStatus::kHit) {
-    ++stats_.new_server_hits;
-    ctx.root_cause = obs::SpanCause::kHit;
-    return primary.value;
-  }
-  // A corrupt hit is served as a miss from here on: the refill below is the
-  // read repair that replaces the damaged copy.
-  bool corrupt_seen = primary.status == FetchStatus::kCorrupt;
-  if (primary.status == FetchStatus::kShed) {
-    // The primary refused the work to protect itself. Going to the backend
-    // instead would convert a cache overload into a database overload, so
-    // answer degraded — the explicit, bounded failure mode.
-    ctx.root_cause = obs::SpanCause::kShed;
-    return options_.degraded_response;
-  }
-  const bool primary_down = primary.status == FetchStatus::kDown;
-  if (primary_down) {
-    // §III-E failover: the same data lives on the other rings' locations.
-    if (options_.replicas > 1) {
-      for (int server : replica_locations(key)) {
-        if (server == d.primary) continue;
-        const FetchResult r =
-            cache_get(server, key, now, ctx, obs::SpanKind::kFailover);
-        if (r.status == FetchStatus::kHit) {
-          ++stats_.failover_hits;
-          ctx.root_cause = obs::SpanCause::kFailoverHit;
-          return r.value;
-        }
-        if (r.status == FetchStatus::kCorrupt) corrupt_seen = true;
+  cluster::TransitionRead read =
+      cluster::TransitionRead::route(router_, key, options_.replicas, ctx);
+  std::string value;
+  for (;;) {
+    const Step step = read.next();
+    switch (step.kind) {
+      case Step::Kind::kGet: {
+        // The foreground fetch is hedged: past the primary's adaptive delay
+        // a budgeted backup GET races it on the key's replica location (or,
+        // with no replica, the slow primary is abandoned for the database).
+        FetchResult r =
+            step.role == obs::SpanKind::kCacheGet && options_.hedging
+                ? hedged_get(step.server, pick_backup(read), key, now, ctx)
+                : cache_get(step.server, key, now, ctx, step.role);
+        if (r.status == FetchStatus::kHit) value = std::move(r.value);
+        read.on_get(r.status);
+        break;
       }
-    }
-    // No replica answered: the down server degrades to a plain miss (the
-    // paper's web tier falls back to the database).
-    ++stats_.degraded_misses;
-  }
-  if (d.fallback >= 0) {
-    const FetchResult old =
-        cache_get(d.fallback, key, now, ctx, obs::SpanKind::kMigrationFetch);
-    if (old.status == FetchStatus::kHit) {
-      ++stats_.old_server_hits;
-      obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationHit,
-                d.fallback, d.primary, old.value.size(), key);
-      // Algorithm 2 line 12: migrate to the new location(s) — unless the
-      // overload throttle says the fleet cannot afford write-backs right
-      // now. Deferring is safe: the key stays resident on its draining old
-      // server, and the next allowed hit migrates it.
-      bool migrate = true;
-      if (options_.migration_throttle != nullptr) {
-        if (options_.limiter != nullptr) {
-          options_.migration_throttle->set_overloaded(
-              options_.limiter->overloaded());
+      case Step::Kind::kThrottle: {
+        obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationHit,
+                  read.fallback(), read.primary(), value.size(), key);
+        // Line 12 is paced off while the fleet cannot afford write-backs.
+        // Deferring is safe: the key stays resident on its draining old
+        // server, and the next allowed hit migrates it.
+        core::MigrationThrottle* throttle = options_.migration_throttle;
+        if (throttle != nullptr && options_.limiter != nullptr) {
+          throttle->set_overloaded(options_.limiter->overloaded());
         }
-        migrate = options_.migration_throttle->allow(now);
+        read.on_throttle(throttle == nullptr || throttle->allow(now));
+        break;
       }
-      if (migrate) {
-        if (corrupt_seen) ++stats_.read_repairs;
-        for (int server : replica_locations(key)) {
-          cache_set(server, key, old.value, now, ctx.trace_id,
-                    /*background=*/true);
+      case Step::Kind::kStore: {
+        // When a corrupt copy sent this read here, the store IS the read
+        // repair. Write-backs are maintenance traffic (`bg`).
+        if (read.corrupt_seen()) ++stats_.read_repairs;
+        const bool background = step.role == obs::SpanKind::kMigrationStore;
+        for (int server : read) {
+          cache_set(server, key, value, now, ctx.trace_id, background);
         }
         if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
-                    d.primary, obs::SpanCause::kStored, key);
+          ctx.child(obs::span_clock_now(), step.role, read.primary(),
+                    obs::SpanCause::kStored, key);
         }
-      } else {
-        ++stats_.migrations_deferred;
-        obs::emit(options_.trace, now,
-                  obs::TraceEventKind::kMigrationDeferred, d.fallback,
-                  d.primary, old.value.size(), key);
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
-                    d.primary, obs::SpanCause::kThrottled, key);
-        }
+        break;
       }
-      ctx.root_cause = obs::SpanCause::kOldHit;
-      return old.value;
-    }
-    if (old.status == FetchStatus::kCorrupt) corrupt_seen = true;
-    if (old.status == FetchStatus::kMiss) {
-      // A clean miss under a digest hit is a §IV-B false positive; a down,
-      // shedding, or corrupt-serving server proves nothing about the digest.
-      ++stats_.digest_false_positives;
-      obs::emit(options_.trace, now,
-                obs::TraceEventKind::kDigestFalsePositive, d.fallback,
-                d.primary, 0, key);
+      case Step::Kind::kBackend: {
+        if (read.false_positive()) {
+          ++stats_.digest_false_positives;
+          obs::emit(options_.trace, now,
+                    obs::TraceEventKind::kDigestFalsePositive, read.fallback(),
+                    read.primary(), 0, key);
+        }
+        bool coalesced = false;
+        std::optional<std::string> fetched = fetch_backend(key, coalesced);
+        if (!fetched.has_value()) {
+          // The AIMD limiter shed this fetch (directly, or via a shed
+          // singleflight leader whose verdict we share): excess misses
+          // become explicit degraded responses instead of queue build-up.
+          ++stats_.load_sheds;
+          if (ctx.active()) {
+            ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
+                      obs::SpanCause::kShed, key);
+          }
+          read.on_backend(Fetch::kShed);
+          break;
+        }
+        value = std::move(*fetched);
+        if (ctx.active()) {
+          ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
+                    coalesced ? obs::SpanCause::kCoalesced
+                              : obs::SpanCause::kBackendFill,
+                    key);
+        }
+        // The singleflight leader fills the cache for everyone; followers
+        // skipping the writes is the point of collapsing the fetch.
+        read.on_backend(coalesced ? Fetch::kCoalesced : Fetch::kFetched);
+        break;
+      }
+      case Step::Kind::kDone:
+        if (read.outcome() == Outcome::kNewHit) ++stats_.new_server_hits;
+        if (read.outcome() == Outcome::kFailoverHit) ++stats_.failover_hits;
+        if (read.outcome() == Outcome::kOldHit) ++stats_.old_server_hits;
+        // A down primary with no answering replica degrades to a miss.
+        if (read.degraded()) ++stats_.degraded_misses;
+        if (read.deferred()) {
+          ++stats_.migrations_deferred;
+          obs::emit(options_.trace, now,
+                    obs::TraceEventKind::kMigrationDeferred, read.fallback(),
+                    read.primary(), value.size(), key);
+          if (ctx.active()) {
+            ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
+                      read.primary(), obs::SpanCause::kThrottled, key);
+          }
+        }
+        ctx.root_cause = read.root_cause();
+        // A shed primary or backend answers with the explicit degraded
+        // response rather than converting the overload into another one.
+        return read.outcome() == Outcome::kShed ? options_.degraded_response
+                                                : value;
     }
   }
-  bool coalesced = false;
-  std::optional<std::string> fetched = fetch_backend(key, coalesced);
-  if (!fetched.has_value()) {
-    // The AIMD limiter shed this fetch (directly, or via a shed
-    // singleflight leader whose verdict we share): the backend is
-    // saturating, so excess misses become explicit degraded responses
-    // instead of queue build-up.
-    ++stats_.load_sheds;
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
-                obs::SpanCause::kShed, key);
-    }
-    ctx.root_cause = obs::SpanCause::kShed;
-    return options_.degraded_response;
-  }
-  std::string value = std::move(*fetched);
-  if (ctx.active()) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
-              coalesced ? obs::SpanCause::kCoalesced
-                        : obs::SpanCause::kBackendFill,
-              key);
-  }
-  if (!coalesced) {
-    // The singleflight leader fills the cache for everyone; followers
-    // skipping the writes is the point of collapsing the fetch. When a
-    // corrupt copy triggered this path, the fill IS the read repair.
-    if (corrupt_seen) ++stats_.read_repairs;
-    for (int server : replica_locations(key)) {
-      cache_set(server, key, value, now, ctx.trace_id);
-    }
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kFill, d.primary,
-                obs::SpanCause::kStored, key);
-    }
-  }
-  ctx.root_cause = obs::SpanCause::kBackendFill;
-  return value;
 }
 
 std::optional<std::string> ProteusClient::fetch_backend(std::string_view key,
@@ -1439,7 +1347,9 @@ std::optional<std::string> ProteusClient::fetch_backend(std::string_view key,
 void ProteusClient::put(std::string_view key, std::string_view value,
                         SimTime now) {
   tick(now);
-  const std::vector<int> locations = replica_locations(key);
+  // Write-all to the distinct replica locations a read of `key` would use.
+  const cluster::TransitionRead locations(router_, router_.decide(key), key,
+                                          options_.replicas);
   for (int server : locations) cache_set(server, key, value, now);
   // Invalidate the transition's old location(s) so the fallback path cannot
   // resurrect the stale value. (Unlike the in-process facade, a network
@@ -1543,7 +1453,7 @@ void ProteusClient::register_metrics(obs::MetricsRegistry& registry) const {
   stat("proteus_client_reconnects_total", "fresh connection attempts",
        [](const Stats& s) { return s.reconnects; });
   stat("proteus_client_breaker_open_skips_total",
-       "ops skipped with the breaker open",
+       "ops skipped while the endpoint is quarantined",
        [](const Stats& s) { return s.breaker_open_skips; });
   stat("proteus_client_failover_hits_total", "served by a SS III-E replica",
        [](const Stats& s) { return s.failover_hits; });
@@ -1611,12 +1521,6 @@ void ProteusClient::register_metrics(obs::MetricsRegistry& registry) const {
                     "hedge budget tokens currently available",
                     [this] { return hedge_budget_.tokens(); });
   for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    registry.gauge_fn(
-        "proteus_client_endpoint_" + std::to_string(i) + "_breaker_state",
-        "0=closed 1=open 2=half-open (health-machine compat view)",
-        [this, i] {
-          return static_cast<double>(breaker_state(static_cast<int>(i)));
-        });
     registry.gauge_fn(
         "proteus_client_endpoint_" + std::to_string(i) + "_health_state",
         "0=healthy 1=suspect 2=quarantined 3=probation",

@@ -47,6 +47,7 @@
 
 #include "bloom/bloom_filter.h"
 #include "cluster/router.h"
+#include "cluster/transition_read.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "core/endpoint_health.h"
@@ -174,7 +175,6 @@ class MemcacheConnection {
   bool send_all(std::string_view bytes, SimTime deadline);
   // Reads until buffer_ contains a full line; returns it without CRLF.
   std::optional<std::string> read_line(SimTime deadline);
-  bool read_exact(std::size_t n, std::string& out, SimTime deadline);
   SimTime op_deadline() const noexcept;
   void fail(net::NetError error);
   void close_now();
@@ -224,14 +224,10 @@ class ProteusClient {
     // Total attempts per wire op (1 = no retry). Retries reconnect first,
     // spaced by decorrelated jitter drawn from `jitter_seed`.
     int max_attempts = 2;
-    // Fail-stop knobs, kept under the historical name: consecutive hard
-    // failures before an endpoint is quarantined, and the base/cap of its
-    // decorrelated-jitter re-probe dwell. These override the matching
-    // fields of `health` (they are the same dials, pre-gray-failure).
-    core::CircuitBreaker::Policy breaker;
-    // Gray-failure detection policy (phi thresholds, latency EWMA gains,
-    // hedge-delay shaping) — see core::EndpointHealth::Policy. The
-    // error-threshold and quarantine-dwell fields are taken from `breaker`.
+    // Endpoint health policy — see core::EndpointHealth::Policy: the
+    // fail-stop dials (consecutive hard failures before quarantine, the
+    // base/cap of the re-probe dwell) and the gray-failure ones (phi
+    // thresholds, latency EWMA gains, hedge-delay shaping).
     core::EndpointHealth::Policy health;
     std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ULL;
     // Hedged reads: after the primary's adaptive delay, race a backup GET
@@ -280,7 +276,7 @@ class ProteusClient {
   ProteusClient(Options options, Backend backend);
 
   // Algorithm 2 over the wire. `now` is any monotonic microsecond clock
-  // (it also drives breaker/backoff scheduling). Never blocks longer than
+  // (it also drives health and re-probe scheduling). Never blocks longer than
   // max_attempts * (connect_timeout + op_timeout) per consulted server.
   std::string get(std::string_view key, SimTime now);
   void put(std::string_view key, std::string_view value, SimTime now);
@@ -310,7 +306,7 @@ class ProteusClient {
     std::uint64_t protocol_errors = 0;     // desynced replies
     std::uint64_t retries = 0;             // extra attempts after a failure
     std::uint64_t reconnects = 0;          // fresh connection attempts
-    std::uint64_t breaker_open_skips = 0;  // ops skipped: breaker open
+    std::uint64_t breaker_open_skips = 0;  // ops skipped: quarantined
     std::uint64_t failover_hits = 0;       // served by a §III-E replica
     std::uint64_t degraded_misses = 0;     // down server treated as miss
     std::uint64_t digest_skips = 0;        // resize() digests not fetched
@@ -352,19 +348,6 @@ class ProteusClient {
   const core::EndpointHealth& endpoint_health(int server) const {
     return endpoints_.at(static_cast<std::size_t>(server)).health;
   }
-  // Compatibility view of the health machine in the old breaker vocabulary:
-  // healthy/suspect -> closed (traffic flows), quarantined -> open
-  // (skipped), probation -> half-open (proving itself).
-  core::CircuitBreaker::State breaker_state(int server) const {
-    switch (endpoint_health(server).state()) {
-      case core::EndpointHealth::State::kQuarantined:
-        return core::CircuitBreaker::State::kOpen;
-      case core::EndpointHealth::State::kProbation:
-        return core::CircuitBreaker::State::kHalfOpen;
-      default:
-        return core::CircuitBreaker::State::kClosed;
-    }
-  }
 
  private:
   struct Endpoint {
@@ -391,7 +374,7 @@ class ProteusClient {
   // detector takes no penalty and no retry feeds the overload. kCorrupt: a
   // hit whose payload failed its CRC32C — served as a miss so the caller
   // read-repairs it from the database.
-  enum class FetchStatus { kHit, kMiss, kDown, kShed, kCorrupt };
+  using FetchStatus = cluster::TransitionRead::Reply;
   struct FetchResult {
     FetchStatus status;
     std::string value;
@@ -428,8 +411,8 @@ class ProteusClient {
   // database. Single attempt by design — the hedge IS the retry.
   FetchResult hedged_get(int primary, int backup, std::string_view key,
                          SimTime now, obs::TraceContext& ctx);
-  // The healthiest non-primary replica location of `key`, or -1.
-  int pick_backup(std::string_view key, int primary) const;
+  // The first non-quarantined non-primary replica location, or -1.
+  int pick_backup(const cluster::TransitionRead& read) const;
   bool cache_set(int server, std::string_view key, std::string_view value,
                  SimTime now, std::uint64_t trace_id = 0,
                  bool background = false);
@@ -443,10 +426,6 @@ class ProteusClient {
   // After a stale-epoch fence: re-read the daemon's (epoch, incarnation)
   // and adopt the higher epoch so the next mutation passes.
   void refresh_view(int server, SimTime now);
-
-  // Distinct §III-E replica locations of `key` under the current mapping,
-  // primary (ring 0) first.
-  std::vector<int> replica_locations(std::string_view key) const;
 
   Options options_;
   Backend backend_;

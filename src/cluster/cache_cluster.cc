@@ -4,11 +4,7 @@ namespace proteus::cluster {
 
 void CacheCluster::resize(int n_new) {
   PROTEUS_CHECK(n_new >= 1 && n_new <= tier_.num_servers());
-  const int n_old = routers_.front()->active();
-  if (n_new == n_old) return;
-
-  finalize_pending();
-
+  const int n_old = router_->active();
   if (!config_.smooth_transitions) {
     // Brutal actuation: power states and mapping flip at once.
     for (int i = n_old; i < n_new; ++i) {
@@ -17,40 +13,20 @@ void CacheCluster::resize(int n_new) {
     for (int i = n_new; i < n_old; ++i) {
       if (!failed_[static_cast<std::size_t>(i)]) tier_.server(i).power_off();
     }
-    for (auto& router : routers_) router->set_active(n_new);
+    router_->set_active(n_new);
     return;
   }
 
-  // Smooth actuation (§IV). Snapshot every old-mapping server's digest;
-  // the routers (shared by all web servers) are the broadcast destination.
-  std::vector<std::optional<bloom::BloomFilter>> digests(
-      static_cast<std::size_t>(tier_.num_servers()));
-  for (int i = 0; i < n_old; ++i) {
-    if (failed_[static_cast<std::size_t>(i)]) continue;  // nothing to digest
-    digests[static_cast<std::size_t>(i)] = tier_.server(i).snapshot_digest();
-    digest_broadcast_bytes_ +=
-        digests[static_cast<std::size_t>(i)]->memory_bytes();
-  }
+  // Smooth actuation (§IV): the router (shared by all web servers) is the
+  // digest broadcast destination. After TTL every datum touched during the
+  // window has already been copied to its new server (Algorithm 2 property
+  // 2); whatever remains on the drained servers is cold and may be
+  // discarded. A later resize moves the deadline, so a stale timer's tick
+  // finds nothing due.
+  if (!lifecycle_.resize(n_new, sim_.now())) return;
   ++transitions_started_;
-
-  for (int i = n_old; i < n_new; ++i) {
-    if (!failed_[static_cast<std::size_t>(i)]) tier_.server(i).power_on();
-  }
-  for (int i = n_new; i < n_old; ++i) {
-    if (failed_[static_cast<std::size_t>(i)]) continue;
-    tier_.server(i).begin_draining();
-    draining_.push_back(i);
-  }
-
-  const SimTime end = sim_.now() + config_.ttl;
-  for (auto& router : routers_) {
-    router->begin_transition(n_new, end, digests);
-  }
-
-  const std::uint64_t epoch = ++transition_epoch_;
-  sim_.schedule_at(end, [this, epoch] {
-    if (epoch == transition_epoch_) finalize_pending();
-  });
+  sim_.schedule_at(router_->transition_end(),
+                   [this] { lifecycle_.tick(sim_.now()); });
 }
 
 void CacheCluster::mark_failed(int server) {
@@ -64,7 +40,7 @@ void CacheCluster::mark_failed(int server) {
   // memory died with it. Drop it so mid-transition old-location probes stop
   // chasing phantom "hot" answers (the live client reaches the same verdict
   // through the incarnation hello — docs/OPERATIONS.md §11).
-  for (auto& router : routers_) router->drop_old_digest(server);
+  router_->drop_old_digest(server);
 }
 
 void CacheCluster::mark_recovered(int server) {
@@ -72,23 +48,9 @@ void CacheCluster::mark_recovered(int server) {
   if (!failed_[static_cast<std::size_t>(server)]) return;
   failed_[static_cast<std::size_t>(server)] = false;
   // Rejoin cold if inside the active set.
-  if (server < routers_.front()->active()) {
+  if (server < router_->active()) {
     tier_.server(server).power_on();
   }
-}
-
-void CacheCluster::finalize_pending() {
-  for (int i : draining_) {
-    // After TTL seconds every datum touched during the window has already
-    // been copied to its new server (Algorithm 2 property 2); whatever
-    // remains is cold and may be discarded.
-    if (!failed_[static_cast<std::size_t>(i)]) tier_.server(i).power_off();
-  }
-  draining_.clear();
-  for (auto& router : routers_) {
-    if (router->in_transition()) router->finalize_transition();
-  }
-  ++transition_epoch_;  // cancel any outstanding finalize timer
 }
 
 int CacheCluster::powered_servers() const {

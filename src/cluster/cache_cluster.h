@@ -7,13 +7,16 @@
 //
 // Smooth mode (Proteus): on every resize the digests of all servers active
 // under the OLD mapping are snapshotted and broadcast to the web servers
-// (via the shared Router(s)), the mapping switches, and servers leaving the
+// (via the shared Router), the mapping switches, and servers leaving the
 // active set keep serving GETs in a draining state for TTL seconds. Hot
 // data migrates on demand through Algorithm 2; after TTL the drained
 // servers hold only cold data and power off safely (§IV-A property 2).
+// The resize/finalize protocol is core::TransitionLifecycle, the same one
+// the in-process facades use.
 //
-// With §III-E replication the actuator drives one Router per hash ring
-// (shared digest snapshots). Crash injection (`mark_failed`) powers a
+// With §III-E replication the other rings' locations derive from the same
+// Router's placement and active count (cluster/transition_read.h); only
+// ring 0 consults digests. Crash injection (`mark_failed`) powers a
 // server off outside the provisioning protocol and keeps later resizes
 // from powering it back on until `mark_recovered`.
 #pragma once
@@ -26,6 +29,7 @@
 #include "cluster/router.h"
 #include "common/check.h"
 #include "common/time.h"
+#include "core/transition_lifecycle.h"
 #include "sim/simulation.h"
 
 namespace proteus::cluster {
@@ -38,29 +42,19 @@ struct CacheClusterConfig {
 class CacheCluster {
  public:
   CacheCluster(sim::Simulation& sim, CacheTier& tier,
-               std::vector<std::shared_ptr<Router>> routers,
-               CacheClusterConfig config)
+               std::shared_ptr<Router> router, CacheClusterConfig config)
       : sim_(sim),
         tier_(tier),
-        routers_(std::move(routers)),
+        router_(router),
         config_(config),
-        failed_(static_cast<std::size_t>(tier.num_servers()), false) {
-    PROTEUS_CHECK(!routers_.empty());
-    for (const auto& router : routers_) {
-      PROTEUS_CHECK(router != nullptr);
-      PROTEUS_CHECK(router->active() == routers_.front()->active());
-    }
+        failed_(static_cast<std::size_t>(tier.num_servers()), false),
+        lifecycle_(tier.servers(), std::move(router), config.ttl,
+                   /*trace=*/nullptr, &failed_) {
     // Servers beyond the initial active count start powered off.
-    for (int i = routers_.front()->active(); i < tier_.num_servers(); ++i) {
+    for (int i = router_->active(); i < tier_.num_servers(); ++i) {
       tier_.server(i).power_off();
     }
   }
-
-  CacheCluster(sim::Simulation& sim, CacheTier& tier,
-               std::shared_ptr<Router> router, CacheClusterConfig config)
-      : CacheCluster(sim, tier,
-                     std::vector<std::shared_ptr<Router>>{std::move(router)},
-                     config) {}
 
   // Applies a provisioning decision. Overlapping transitions are resolved
   // by finalizing the pending one first (with 30-minute provisioning slots
@@ -75,10 +69,8 @@ class CacheCluster {
     return failed_.at(static_cast<std::size_t>(server));
   }
 
-  int active() const noexcept { return routers_.front()->active(); }
-  bool transition_pending() const noexcept {
-    return !draining_.empty() || routers_.front()->in_transition();
-  }
+  int active() const noexcept { return router_->active(); }
+  bool transition_pending() const noexcept { return router_->in_transition(); }
   const CacheClusterConfig& config() const noexcept { return config_; }
 
   // Count of servers drawing power (active or draining).
@@ -88,21 +80,17 @@ class CacheCluster {
   // broadcast copy; each web server receives this much per transition —
   // the "a few KB each" overhead of §IV-A).
   std::uint64_t digest_broadcast_bytes() const noexcept {
-    return digest_broadcast_bytes_;
+    return lifecycle_.digest_bytes();
   }
   std::uint64_t transitions_started() const noexcept { return transitions_started_; }
 
  private:
-  void finalize_pending();
-
   sim::Simulation& sim_;
   CacheTier& tier_;
-  std::vector<std::shared_ptr<Router>> routers_;
+  std::shared_ptr<Router> router_;
   CacheClusterConfig config_;
-  std::vector<bool> failed_;
-  std::vector<int> draining_;
-  std::uint64_t transition_epoch_ = 0;  // guards stale finalize timers
-  std::uint64_t digest_broadcast_bytes_ = 0;
+  std::vector<bool> failed_;  // the lifecycle's skip set
+  core::TransitionLifecycle lifecycle_;
   std::uint64_t transitions_started_ = 0;
 };
 

@@ -42,6 +42,9 @@ class CacheTier {
 
   cache::CacheServer& server(int i) { return *servers_.at(static_cast<std::size_t>(i)); }
   const cache::CacheServer& server(int i) const { return *servers_.at(static_cast<std::size_t>(i)); }
+  // The fleet CacheCluster's transition lifecycle powers, drains and
+  // snapshots.
+  std::vector<std::unique_ptr<cache::CacheServer>>& servers() { return servers_; }
   const sim::QueueingServer& queue(int i) const { return *queues_.at(static_cast<std::size_t>(i)); }
 
   int num_servers() const noexcept { return config_.num_servers; }

@@ -1,6 +1,6 @@
 // Request routing state shared by all web servers — the deterministic,
-// consistent, distributed decision logic of §II objective 3 and the data
-// retrieval procedure of §IV Algorithm 2.
+// consistent, distributed decision logic of §II objective 3 and the routing
+// half of §IV Algorithm 2 (the read itself is cluster/transition_read.h).
 //
 // Every web server holds an identical Router (same placement object, same
 // broadcast digests), so routing decisions are consistent cluster-wide
@@ -22,20 +22,16 @@
 #include "common/hash.h"
 #include "common/time.h"
 #include "hashring/placement.h"
-#include "hashring/replicated_ring.h"
 
 namespace proteus::cluster {
 
 class Router {
  public:
-  // `ring` selects the replica hash function (§III-E): ring 0 is the
-  // default single-ring configuration.
   Router(std::shared_ptr<const ring::PlacementStrategy> placement,
-         int initial_active, int ring = 0)
-      : placement_(std::move(placement)), ring_(ring), active_(initial_active) {
+         int initial_active)
+      : placement_(std::move(placement)), active_(initial_active) {
     PROTEUS_CHECK(placement_ != nullptr);
     PROTEUS_CHECK(active_ >= 1 && active_ <= placement_->max_servers());
-    PROTEUS_CHECK(ring_ >= 0);
   }
 
   struct Decision {
@@ -44,7 +40,7 @@ class Router {
   };
 
   Decision decide(std::string_view key) const {
-    const std::uint64_t h = ring::replica_ring_hash(hash_bytes(key), ring_);
+    const std::uint64_t h = hash_bytes(key);
     Decision d{placement_->server_for(h, active_), -1};
     if (in_transition_) {
       const int old_server = placement_->server_for(h, old_active_);
@@ -104,7 +100,6 @@ class Router {
 
  private:
   std::shared_ptr<const ring::PlacementStrategy> placement_;
-  int ring_ = 0;
   int active_;
   int old_active_ = 0;
   bool in_transition_ = false;

@@ -2,22 +2,32 @@
 
 #include <algorithm>
 
+#include "cluster/transition_read.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 
 namespace proteus::cluster {
 
+struct WebTier::Read {
+  TransitionRead machine;
+  std::string key;
+  Trace trace;
+  std::function<void()> done;
+  std::string value;
+};
+
 WebTier::WebTier(sim::Simulation& sim, WebTierConfig config,
-                 std::vector<std::shared_ptr<Router>> routers,
-                 CacheTier& cache, db::Database& db)
+                 std::shared_ptr<Router> router, CacheTier& cache,
+                 db::Database& db, int replicas)
     : sim_(sim),
       config_(config),
-      routers_(std::move(routers)),
+      router_(std::move(router)),
+      replicas_(replicas),
       cache_(cache),
       db_(db),
       migration_throttle_(config.migration_throttle) {
-  PROTEUS_CHECK(!routers_.empty());
-  for (const auto& router : routers_) PROTEUS_CHECK(router != nullptr);
+  PROTEUS_CHECK(router_ != nullptr);
+  PROTEUS_CHECK(replicas_ >= 1 && replicas_ <= TransitionRead::kMaxReplicas);
   PROTEUS_CHECK(config_.num_servers >= 1);
   queues_.reserve(static_cast<std::size_t>(config_.num_servers));
   for (int i = 0; i < config_.num_servers; ++i) {
@@ -55,7 +65,7 @@ void WebTier::handle(const std::string& key, std::function<void()> done) {
   if (config_.spans != nullptr) {
     obs::TraceContext ctx = obs::TraceContext::begin(config_.spans, sim_.now());
     if (ctx.active()) {
-      ctx.in_transition = routers_.front()->in_transition();
+      ctx.in_transition = router_->in_transition();
       trace = std::make_shared<obs::TraceContext>(ctx);
       // Close the trace when the response reaches the client: the final
       // reply hop lands in the closing kRespond child.
@@ -75,7 +85,11 @@ void WebTier::handle(const std::string& key, std::function<void()> done) {
                           done = std::move(done)]() mutable {
                            trace_child(trace, obs::SpanKind::kWebService,
                                        static_cast<int>(web));
-                           fetch_data(key, std::move(trace), std::move(done));
+                           // Algorithm 2: FETCH_DATA(key_d).
+                           advance(std::make_shared<Read>(Read{
+                               TransitionRead(*router_, router_->decide(key),
+                                              key, replicas_),
+                               key, std::move(trace), std::move(done), {}}));
                          });
   });
 }
@@ -84,164 +98,130 @@ void WebTier::respond_after_hop(std::function<void()> done) {
   sim_.schedule_after(config_.rbe_hop_latency, std::move(done));
 }
 
-// Algorithm 2: FETCH_DATA(key_d), generalized over the replica rings.
-void WebTier::fetch_data(const std::string& key, Trace trace,
-                         std::function<void()> done) {
-  try_ring(0, std::make_shared<std::vector<int>>(), key, std::move(trace),
-           std::move(done));
-}
-
-void WebTier::repair_and_respond(
-    const std::shared_ptr<std::vector<int>>& repair, const std::string& key,
-    const std::string& value, std::function<void()> done) {
-  // Line 12 generalized: re-populate every live replica location that
-  // missed on the way here (fire-and-forget).
-  for (int server : *repair) {
-    if (server_alive(server)) {
-      cache_.async_set(server, key, value, db_.object_size());
+void WebTier::advance(const std::shared_ptr<Read>& read) {
+  using Step = TransitionRead::Step;
+  using Reply = TransitionRead::Reply;
+  using Outcome = TransitionRead::Outcome;
+  TransitionRead& machine = read->machine;
+  for (;;) {
+    const Step step = machine.next();
+    switch (step.kind) {
+      case Step::Kind::kGet:
+        if (!server_alive(step.server)) {
+          // A powered-off old location is simply not consulted; a crashed
+          // current location is a §III-E failover trigger.
+          if (step.role != obs::SpanKind::kMigrationFetch) {
+            ++stats_.failed_server_skips;
+            trace_child(read->trace, step.role, step.server,
+                        obs::SpanCause::kDown, read->key);
+          }
+          machine.on_get(Reply::kDown);
+          break;
+        }
+        cache_.async_get(step.server, read->key,
+                         [this, read, step](std::optional<std::string> value) {
+                           trace_child(read->trace, step.role, step.server,
+                                       value ? obs::SpanCause::kHit
+                                             : obs::SpanCause::kMiss,
+                                       read->key);
+                           if (value) read->value = std::move(*value);
+                           read->machine.on_get(value ? Reply::kHit
+                                                      : Reply::kMiss);
+                           advance(read);
+                         });
+        return;
+      case Step::Kind::kThrottle:
+        machine.on_throttle(migration_allowed());
+        break;
+      case Step::Kind::kStore:
+        // Line 12 generalized: populate every live replica location
+        // (fire-and-forget); only the FIRST request pays the old-location
+        // hop (§IV-A prop. 1).
+        for (int server : machine) {
+          if (server_alive(server)) {
+            cache_.async_set(server, read->key, read->value,
+                             db_.object_size());
+          }
+        }
+        if (step.role == obs::SpanKind::kFill) {
+          // A resize may have landed while the query was in flight: fill
+          // the locations current now as well.
+          const TransitionRead now(*router_, router_->decide(read->key),
+                                   read->key, replicas_);
+          for (int server : now) {
+            if (std::find(machine.begin(), machine.end(), server) ==
+                    machine.end() &&
+                server_alive(server)) {
+              cache_.async_set(server, read->key, read->value,
+                               db_.object_size());
+            }
+          }
+        }
+        break;
+      case Step::Kind::kBackend:
+        // Line 9: a hot digest whose old location missed.
+        if (machine.false_positive()) ++stats_.digest_false_positives;
+        fetch_from_db(read);
+        return;
+      case Step::Kind::kDone:
+        if (machine.outcome() == Outcome::kNewHit) ++stats_.new_server_hits;
+        if (machine.outcome() == Outcome::kFailoverHit) ++stats_.replica_hits;
+        if (machine.outcome() == Outcome::kOldHit) ++stats_.old_server_hits;
+        if (machine.deferred()) {
+          // Under overload the store is deferred — the value stays on the
+          // draining server, a later allowed hit migrates it.
+          ++stats_.migrations_deferred;
+          trace_child(read->trace, obs::SpanKind::kMigrationStore,
+                      machine.primary(), obs::SpanCause::kThrottled,
+                      read->key);
+        }
+        if (read->trace != nullptr) {
+          read->trace->root_cause = machine.root_cause();
+        }
+        respond_after_hop(std::move(read->done));
+        return;
     }
   }
-  respond_after_hop(std::move(done));
 }
 
-void WebTier::fetch_from_db(std::shared_ptr<std::vector<int>> repair,
-                            const std::string& key, Trace trace,
-                            std::function<void()> done) {
+void WebTier::fetch_from_db(const std::shared_ptr<Read>& read) {
   // Dog-pile coalescing: if a query for this key is already in flight,
   // piggyback on it — the first fetch populates the caches, so this
   // request's response is complete the moment that query returns.
   if (config_.coalesce_db_fetches) {
-    auto it = inflight_db_.find(key);
+    auto it = inflight_db_.find(read->key);
     if (it != inflight_db_.end()) {
       ++stats_.coalesced_fetches;
-      it->second.push_back([this, trace = std::move(trace), key,
-                            done = std::move(done)]() mutable {
+      it->second.push_back([this, read] {
         // The wait on someone else's in-flight query is still db time.
-        trace_child(trace, obs::SpanKind::kBackendFetch, -1,
-                    obs::SpanCause::kBackendFill, key);
-        if (trace != nullptr) trace->root_cause = obs::SpanCause::kBackendFill;
-        respond_after_hop(std::move(done));
+        trace_child(read->trace, obs::SpanKind::kBackendFetch, -1,
+                    obs::SpanCause::kBackendFill, read->key);
+        read->machine.on_backend(TransitionRead::Fetch::kCoalesced);
+        advance(read);
       });
       return;
     }
-    inflight_db_.emplace(key, std::vector<std::function<void()>>{});
+    inflight_db_.emplace(read->key, std::vector<std::function<void()>>{});
   }
 
   // Line 10: false positive or "cold" data — reach the database tier. The
   // database never notices the transition (§IV-A).
   ++stats_.db_fetches;
-  db_.async_get(key, [this, repair = std::move(repair), key,
-                      trace = std::move(trace),
-                      done = std::move(done)](std::string db_value) mutable {
-    trace_child(trace, obs::SpanKind::kBackendFetch, -1,
-                obs::SpanCause::kBackendFill, key);
-    if (trace != nullptr) trace->root_cause = obs::SpanCause::kBackendFill;
-    // Populate the replica chain's primaries with the fetched value.
-    for (const auto& router : routers_) {
-      const int primary = router->decide(key).primary;
-      if (std::find(repair->begin(), repair->end(), primary) ==
-          repair->end()) {
-        repair->push_back(primary);
-      }
-    }
-    repair_and_respond(repair, key, db_value, std::move(done));
+  db_.async_get(read->key, [this, read](std::string db_value) {
+    trace_child(read->trace, obs::SpanKind::kBackendFetch, -1,
+                obs::SpanCause::kBackendFill, read->key);
+    read->value = std::move(db_value);
+    read->machine.on_backend(TransitionRead::Fetch::kFetched);
+    advance(read);
     if (config_.coalesce_db_fetches) {
       // Release the piggybacked requests.
-      auto it = inflight_db_.find(key);
+      auto it = inflight_db_.find(read->key);
       if (it != inflight_db_.end()) {
         auto waiters = std::move(it->second);
         inflight_db_.erase(it);
         for (auto& waiter : waiters) waiter();
       }
     }
-  });
-}
-
-void WebTier::try_ring(std::size_t ring,
-                       std::shared_ptr<std::vector<int>> repair,
-                       const std::string& key, Trace trace,
-                       std::function<void()> done) {
-  if (ring >= routers_.size()) {
-    fetch_from_db(std::move(repair), key, std::move(trace), std::move(done));
-    return;
-  }
-  const Router::Decision d = routers_[ring]->decide(key);
-  // Ring 0 is the normal path; rings >= 1 are §III-E failover fetches.
-  const obs::SpanKind fetch_kind =
-      ring == 0 ? obs::SpanKind::kCacheGet : obs::SpanKind::kFailover;
-  if (!server_alive(d.primary)) {
-    // Crashed/powered-off ring: fail over to the next replica (§III-E).
-    ++stats_.failed_server_skips;
-    trace_child(trace, fetch_kind, d.primary, obs::SpanCause::kDown, key);
-    try_ring(ring + 1, std::move(repair), key, std::move(trace),
-             std::move(done));
-    return;
-  }
-
-  // Line 2: data <- s_{m_{t+1}}.get(key) on this ring.
-  cache_.async_get(d.primary, key, [this, ring, d, fetch_kind,
-                                    repair = std::move(repair), key,
-                                    trace = std::move(trace),
-                                    done = std::move(done)](
-                                       std::optional<std::string> value) mutable {
-    if (value.has_value()) {
-      trace_child(trace, fetch_kind, d.primary, obs::SpanCause::kHit, key);
-      if (trace != nullptr) {
-        trace->root_cause = ring == 0 ? obs::SpanCause::kHit
-                                      : obs::SpanCause::kFailoverHit;
-      }
-      if (ring == 0) {
-        ++stats_.new_server_hits;  // line 4: found in new server
-      } else {
-        ++stats_.replica_hits;     // served by a surviving replica
-      }
-      repair_and_respond(repair, key, *value, std::move(done));
-      return;
-    }
-    trace_child(trace, fetch_kind, d.primary, obs::SpanCause::kMiss, key);
-
-    if (d.fallback < 0 || !server_alive(d.fallback)) {
-      repair->push_back(d.primary);
-      try_ring(ring + 1, std::move(repair), key, std::move(trace),
-               std::move(done));
-      return;
-    }
-
-    // Lines 6-8: the digest said the data is "hot" on this ring's old
-    // location.
-    cache_.async_get(
-        d.fallback, key,
-        [this, ring, d, repair = std::move(repair), key,
-         trace = std::move(trace),
-         done = std::move(done)](std::optional<std::string> old_value) mutable {
-          if (old_value.has_value()) {
-            ++stats_.old_server_hits;
-            trace_child(trace, obs::SpanKind::kMigrationFetch, d.fallback,
-                        obs::SpanCause::kHit, key);
-            if (trace != nullptr) {
-              trace->root_cause = obs::SpanCause::kOldHit;
-            }
-            // Line 12: migrate on demand (the primary is in the repair
-            // set); only the FIRST request pays this hop (§IV-A prop. 1).
-            // Under overload the store is deferred — the value stays on
-            // the draining server, a later allowed hit migrates it.
-            if (migration_allowed()) {
-              repair->push_back(d.primary);
-            } else {
-              ++stats_.migrations_deferred;
-              trace_child(trace, obs::SpanKind::kMigrationStore, d.primary,
-                          obs::SpanCause::kThrottled, key);
-            }
-            repair_and_respond(repair, key, *old_value, std::move(done));
-            return;
-          }
-          ++stats_.digest_false_positives;  // line 9: Bloom false positive
-          trace_child(trace, obs::SpanKind::kMigrationFetch, d.fallback,
-                      obs::SpanCause::kMiss, key);
-          repair->push_back(d.primary);
-          try_ring(ring + 1, std::move(repair), key, std::move(trace),
-                   std::move(done));
-        });
   });
 }
 

@@ -1,17 +1,16 @@
 // The web-server tier: executes Algorithm 2 (Data Retrieval) for every
 // request, asynchronously over the simulation.
 //
-// Per paper §V-2 most logic lives here: hash the data key to a cache server
-// via the shared Router (consistent across all web servers), fall back to
-// the old location when the digest marks the data hot, reach the database
-// only when both attempts miss, and repopulate the new cache server with
-// whatever was fetched (Algorithm 2 line 12).
+// Per paper §V-2 most logic lives here. The read itself is the shared
+// Algorithm 2 machine (cluster/transition_read.h), driven from the cache
+// and database callbacks: route via the shared Router (consistent across
+// all web servers), fall back to the old location when the digest marks
+// the data hot, reach the database only when both attempts miss, and
+// repopulate the key's locations with whatever was fetched (line 12).
 //
-// With §III-E replication enabled the tier holds one Router per hash ring
-// and walks them in order: a ring whose server is powered off (crashed) is
-// skipped, the first resident replica answers, and whatever was fetched
-// repairs the replica locations that missed. One ring degenerates exactly
-// to the paper's base design.
+// With §III-E replication a request fails over to the key's other replica
+// locations only while its ring-0 server is powered off (crashed). One
+// ring is exactly the paper's base design.
 #pragma once
 
 #include <cstdint>
@@ -88,17 +87,11 @@ struct WebTierStats {
 
 class WebTier {
  public:
-  // Replicated form: one router per §III-E hash ring, walked in order.
+  // `replicas` is r of §III-E; the other rings' locations derive from the
+  // router's placement and active count.
   WebTier(sim::Simulation& sim, WebTierConfig config,
-          std::vector<std::shared_ptr<Router>> routers, CacheTier& cache,
-          db::Database& db);
-
-  // Single-ring convenience (the paper's base design).
-  WebTier(sim::Simulation& sim, WebTierConfig config,
-          std::shared_ptr<Router> router, CacheTier& cache, db::Database& db)
-      : WebTier(sim, config,
-                std::vector<std::shared_ptr<Router>>{std::move(router)}, cache,
-                db) {}
+          std::shared_ptr<Router> router, CacheTier& cache, db::Database& db,
+          int replicas = 1);
 
   // One user request: RBE hop -> web service -> Algorithm 2 -> reply hop.
   // `done` fires when the response reaches the client.
@@ -122,28 +115,23 @@ class WebTier {
     return *queues_.at(static_cast<std::size_t>(i));
   }
   int num_servers() const noexcept { return config_.num_servers; }
-  int replicas() const noexcept { return static_cast<int>(routers_.size()); }
+  int replicas() const noexcept { return replicas_; }
 
  private:
   // Trace state threaded through the async retrieval chain; null whenever
   // the request is unsampled (the common case — no allocation then).
   using Trace = std::shared_ptr<obs::TraceContext>;
 
+  // One request's retrieval state, parked between cache/database callbacks.
+  struct Read;
+
   bool server_alive(int server) const;
   // Overload-gated line-12 pacing: samples the database tier's live queue
   // depth, feeds the signal into the throttle, and asks for a token.
   bool migration_allowed();
-  void fetch_data(const std::string& key, Trace trace,
-                  std::function<void()> respond);
-  void try_ring(std::size_t ring, std::shared_ptr<std::vector<int>> repair,
-                const std::string& key, Trace trace,
-                std::function<void()> done);
-  void fetch_from_db(std::shared_ptr<std::vector<int>> repair,
-                     const std::string& key, Trace trace,
-                     std::function<void()> done);
-  void repair_and_respond(const std::shared_ptr<std::vector<int>>& repair,
-                          const std::string& key, const std::string& value,
-                          std::function<void()> done);
+  // Runs the request's machine until it waits on a callback or finishes.
+  void advance(const std::shared_ptr<Read>& read);
+  void fetch_from_db(const std::shared_ptr<Read>& read);
   void respond_after_hop(std::function<void()> done);
   // trace->child(sim_.now(), ...) guarded on a live, sampled trace.
   void trace_child(const Trace& trace, obs::SpanKind kind, int server = -1,
@@ -152,7 +140,8 @@ class WebTier {
 
   sim::Simulation& sim_;
   WebTierConfig config_;
-  std::vector<std::shared_ptr<Router>> routers_;
+  std::shared_ptr<Router> router_;
+  int replicas_;
   CacheTier& cache_;
   db::Database& db_;
   std::vector<std::unique_ptr<sim::QueueingServer>> queues_;

@@ -1,8 +1,6 @@
-// Per-endpoint health gating: capped exponential backoff with deterministic
-// jitter, the closed/open/half-open circuit-breaker vocabulary, and the
-// gray-failure layer that implements it — a phi-accrual-style EWMA
-// latency/error detector (EndpointHealth) with a healthy/suspect/
-// quarantined/probation state machine, decorrelated-jitter retry scheduling (DecorrelatedJitter)
+// Per-endpoint health gating: a phi-accrual-style EWMA latency/error
+// detector (EndpointHealth) with a healthy/suspect/quarantined/probation
+// state machine, decorrelated-jitter retry scheduling (DecorrelatedJitter)
 // and a hedged-request token budget (HedgeBudget).
 //
 // Deterministic on purpose: time is the caller's SimTime (simulated or a
@@ -21,44 +19,6 @@
 #include "common/time.h"
 
 namespace proteus::core {
-
-// Capped exponential backoff: delay doubles per consecutive failure, capped
-// at `max_delay`, with +/-25% deterministic jitter so a fleet of clients
-// seeded differently does not reconnect in lockstep (thundering herd).
-struct BackoffPolicy {
-  SimTime base_delay = 100 * kMillisecond;
-  SimTime max_delay = 5 * kSecond;
-
-  // Delay before attempt `failures` (1 = first retry). Jitter drawn from
-  // `rng`, so identical seeds give identical schedules.
-  SimTime delay(int failures, Rng& rng) const noexcept {
-    const int shift = std::min(failures > 0 ? failures - 1 : 0, 20);
-    SimTime d = base_delay << shift;
-    if (d > max_delay || d <= 0) d = max_delay;
-    // Jitter in [0.75 * d, 1.25 * d].
-    const SimTime quarter = d / 4;
-    const SimTime jitter =
-        quarter > 0
-            ? static_cast<SimTime>(rng.next_below(
-                  static_cast<std::uint64_t>(2 * quarter + 1)))
-            : 0;
-    return d - quarter + jitter;
-  }
-};
-
-// Circuit-breaker vocabulary. The breaker logic itself lives in the
-// EndpointHealth machine below; these types remain because
-// ProteusClient::Options configures it through `Policy` and
-// ProteusClient::breaker_state() reports it as a `State`.
-struct CircuitBreaker {
-  enum class State { kClosed, kOpen, kHalfOpen };
-
-  struct Policy {
-    int failure_threshold = 3;
-    BackoffPolicy backoff{/*base_delay=*/500 * kMillisecond,
-                          /*max_delay=*/10 * kSecond};
-  };
-};
 
 // Decorrelated jitter (the AWS "decorrelated" variant): each delay is drawn
 // uniformly from [base, 3 * previous], capped. Successive draws wander the
@@ -154,7 +114,7 @@ class EndpointHealth {
     double phi_quarantine = 6.0;  // suspicion >= this -> quarantined
     double phi_cap = 12.0;        // per-sample cap; hard errors score this
     double suspicion_gain = 0.25;  // EWMA gain folding samples into suspicion
-    // Fail-stop fast path (mirrors the circuit breaker).
+    // Fail-stop fast path.
     int error_threshold = 3;  // consecutive hard errors -> quarantined
     // Re-admission.
     int probation_successes = 3;  // clean responses that close probation

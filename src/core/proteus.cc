@@ -1,7 +1,7 @@
 #include "core/proteus.h"
 
+#include "cluster/transition_read.h"
 #include "common/check.h"
-#include "hashring/replicated_ring.h"
 
 namespace proteus {
 
@@ -9,8 +9,12 @@ Proteus::Proteus(ProteusOptions options, Backend backend)
     : options_(options),
       backend_(std::move(backend)),
       placement_(std::make_shared<ring::ProteusPlacement>(options.max_servers)),
-      router_(placement_, options.initial_servers > 0 ? options.initial_servers
-                                                      : options.max_servers) {
+      lifecycle_(servers_,
+                 std::make_shared<cluster::Router>(
+                     placement_, options.initial_servers > 0
+                                     ? options.initial_servers
+                                     : options.max_servers),
+                 options.ttl, options.trace) {
   PROTEUS_CHECK(backend_ != nullptr);
   PROTEUS_CHECK(options_.max_servers >= 1);
   servers_.reserve(static_cast<std::size_t>(options_.max_servers));
@@ -19,67 +23,16 @@ Proteus::Proteus(ProteusOptions options, Backend backend)
     per_server.trace = options_.trace;
     per_server.trace_server_id = i;
     servers_.push_back(std::make_unique<cache::CacheServer>(per_server));
-    if (i >= router_.active()) servers_.back()->power_off();
+    if (i >= active_servers()) servers_.back()->power_off();
   }
-
-  if (!options_.journal_path.empty()) {
-    std::vector<core::JournalRecord> replayed;
-    if (journal_.open(options_.journal_path, replayed)) {
-      std::uint64_t epoch = 0;
-      auto pending = core::interpret_journal(replayed, epoch);
-      epoch_ = epoch;
-      stats_.journal_records_replayed = replayed.size();
-      const bool resumable =
-          pending.has_value() && pending->n_old >= 1 &&
-          pending->n_old <= options_.max_servers && pending->n_new >= 1 &&
-          pending->n_new <= options_.max_servers;
-      obs::emit(options_.trace, 0, obs::TraceEventKind::kJournalReplay,
-                resumable ? 1 : 0, -1, replayed.size());
-      if (resumable) {
-        ++stats_.journal_transitions_resumed;
-        resume_transition(*pending);
-      }
-    }
-  }
-}
-
-void Proteus::resume_transition(const core::PendingTransition& t) {
-  if (t.epoch > epoch_) epoch_ = t.epoch;
-  // Rebuild the power topology the coordinator died with: every server that
-  // was active under either mapping is on; the recorded leavers drain.
-  // Cache CONTENTS are gone if this process restarted — only the plan is
-  // durable — so resumed digests may over-claim; Algorithm 2 absorbs that
-  // as ordinary false positives.
-  for (int i = 0; i < options_.max_servers; ++i) {
-    const bool want_on = i < std::max(t.n_old, t.n_new);
-    cache::CacheServer& server = mutable_server(i);
-    if (want_on && server.power_state() == cache::PowerState::kOff) {
-      server.power_on();
-    } else if (!want_on && server.power_state() != cache::PowerState::kOff) {
-      server.power_off();
-    }
-  }
-  draining_.clear();
-  for (int i : t.draining) {
-    if (i < 0 || i >= options_.max_servers) continue;
-    mutable_server(i).begin_draining();
-    draining_.push_back(i);
-  }
-  std::vector<std::optional<bloom::BloomFilter>> digests(
-      static_cast<std::size_t>(options_.max_servers));
-  for (const auto& [server, encoded] : t.digests) {
-    if (server < 0 || server >= options_.max_servers) continue;
-    if (encoded.size() < 24 || encoded.size() % 8 != 0) continue;
-    digests[static_cast<std::size_t>(server)] = cache::decode_digest(encoded);
-  }
-  router_.set_active(t.n_old);
-  router_.begin_transition(t.n_new, t.drain_end, std::move(digests));
+  const core::TransitionLifecycle::Replay replay =
+      lifecycle_.replay(options_.journal_path);
+  stats_.journal_records_replayed = replay.records;
+  stats_.journal_transitions_resumed = replay.resumed ? 1 : 0;
 }
 
 void Proteus::tick(SimTime now) {
-  if (router_.in_transition() && now >= router_.transition_end()) {
-    finalize_transition();
-  }
+  lifecycle_.tick(now);
   // Audit feed rides the tick, at most once per second of `now`, so the
   // per-get cost with auditing off is this one pointer test.
   if (options_.auditor != nullptr && now - last_audit_feed_ >= kSecond) {
@@ -105,28 +58,6 @@ void Proteus::feed_auditor(SimTime now) {
       static_cast<double>(stats_.backend_fetches));
 }
 
-void Proteus::finalize_transition() {
-  for (int i : draining_) {
-    obs::emit(options_.trace, router_.transition_end(),
-              obs::TraceEventKind::kPowerOff, i, -1,
-              mutable_server(i).item_count());
-    mutable_server(i).power_off();
-  }
-  draining_.clear();
-  router_.finalize_transition();
-  if (journal_.is_open()) {
-    core::JournalRecord fin;
-    fin.kind = core::JournalRecordKind::kFinalize;
-    fin.a = epoch_;
-    journal_.append(fin);
-    // Nothing is pending anymore: compact to just the finalize marker so
-    // the log stays bounded while the epoch survives the next restart.
-    journal_.compact({fin});
-  }
-  obs::emit(options_.trace, router_.transition_end(),
-            obs::TraceEventKind::kResizeEnd, router_.active());
-}
-
 std::string Proteus::get(std::string_view key, SimTime now) {
   // Spans use the steady clock (span_clock_now), not the caller's possibly
   // simulated `now`, so durations are real even under a frozen SimTime.
@@ -140,113 +71,102 @@ std::string Proteus::get(std::string_view key, SimTime now) {
 
 std::string Proteus::get_inner(std::string_view key, SimTime now,
                                obs::TraceContext& ctx) {
+  using Step = cluster::TransitionRead::Step;
+  using Reply = cluster::TransitionRead::Reply;
   tick(now);
   ++stats_.gets;
-  if (ctx.active()) {
-    ctx.in_transition = router_.in_transition();
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kRoute);
-  }
-  const cluster::Router::Decision d = router_.decide(key);
-  if (ctx.active() && ctx.in_transition) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kDigestConsult, d.primary,
-              d.fallback >= 0 ? obs::SpanCause::kDigestHot
-                              : obs::SpanCause::kDigestCold);
-  }
+  const cluster::Router& router = lifecycle_.router();
+  cluster::TransitionRead read =
+      cluster::TransitionRead::route(router, key, /*replicas=*/1, ctx);
   const std::string k(key);
-
-  // Algorithm 2 line 2: try the new (current) location.
-  if (auto value = mutable_server(d.primary).get(k, now)) {
-    ++stats_.new_server_hits;
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, d.primary,
-                obs::SpanCause::kHit, key);
-      ctx.root_cause = obs::SpanCause::kHit;
-    }
-    return *value;
-  }
-  if (ctx.active()) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, d.primary,
-              obs::SpanCause::kMiss, key);
-  }
-
-  // Lines 6-8: the digest marked the data hot on its old location.
-  if (d.fallback >= 0) {
-    if (auto value = mutable_server(d.fallback).get(k, now)) {
-      ++stats_.old_server_hits;
-      obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationHit,
-                d.fallback, d.primary, value->size(), key);
-      if (ctx.active()) {
-        ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationFetch,
-                  d.fallback, obs::SpanCause::kHit, key);
-      }
-      // Line 12: on-demand migration; subsequent requests hit the primary.
-      // Under overload the throttle defers the write-back — the hit is
-      // still served from the old location, but migration stops competing
-      // with foreground traffic until the pressure clears.
-      if (options_.migration_throttle != nullptr &&
-          !options_.migration_throttle->allow(now)) {
-        ++stats_.migrations_deferred;
-        obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationDeferred,
-                  d.fallback, d.primary, value->size(), key);
+  std::string value;
+  for (;;) {
+    const Step step = read.next();
+    switch (step.kind) {
+      case Step::Kind::kGet: {
+        auto hit = mutable_server(step.server).get(k, now);
         if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
-                    d.primary, obs::SpanCause::kThrottled, key);
-          ctx.root_cause = obs::SpanCause::kOldHit;
+          ctx.child(obs::span_clock_now(), step.role, step.server,
+                    hit ? obs::SpanCause::kHit : obs::SpanCause::kMiss, key);
         }
-        return *value;
+        if (hit) value = std::move(*hit);
+        read.on_get(hit ? Reply::kHit : Reply::kMiss);
+        break;
       }
-      mutable_server(d.primary).set(k, *value, now, charge_for(*value));
-      if (ctx.active()) {
-        ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
-                  d.primary, obs::SpanCause::kStored, key);
-        ctx.root_cause = obs::SpanCause::kOldHit;
-      }
-      return *value;
-    }
-    ++stats_.digest_false_positives;
-    obs::emit(options_.trace, now, obs::TraceEventKind::kDigestFalsePositive,
-              d.fallback, d.primary, 0, key);
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationFetch,
-                d.fallback, obs::SpanCause::kMiss, key);
-    }
-  } else if (router_.in_transition()) {
-    // §IV-B false-negative check: the digest reported the key cold, but is
-    // it actually resident on its old-mapping server? Cheap in-process
-    // (one hash + index probe), and it makes the paper's FN bound a
-    // measured quantity instead of a modeled one.
-    const int old_server = placement_->server_for(
-        ring::replica_ring_hash(hash_bytes(key), 0), router_.old_active());
-    if (old_server != d.primary &&
-        servers_[static_cast<std::size_t>(old_server)]->power_state() !=
-            cache::PowerState::kOff &&
-        servers_[static_cast<std::size_t>(old_server)]->contains(k, now)) {
-      ++stats_.digest_false_negatives;
-      obs::emit(options_.trace, now, obs::TraceEventKind::kDigestFalseNegative,
-                old_server, d.primary, 0, key);
+      case Step::Kind::kThrottle:
+        obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationHit,
+                  read.fallback(), read.primary(), value.size(), key);
+        read.on_throttle(options_.migration_throttle == nullptr ||
+                         options_.migration_throttle->allow(now));
+        break;
+      case Step::Kind::kStore:
+        for (int server : read) {
+          mutable_server(server).set(k, value, now, charge_for(value));
+        }
+        if (ctx.active()) {
+          ctx.child(obs::span_clock_now(), step.role, read.primary(),
+                    obs::SpanCause::kStored, key);
+        }
+        break;
+      case Step::Kind::kBackend:
+        if (read.false_positive()) {
+          ++stats_.digest_false_positives;
+          obs::emit(options_.trace, now,
+                    obs::TraceEventKind::kDigestFalsePositive, read.fallback(),
+                    read.primary(), 0, key);
+        } else if (read.fallback() < 0 && router.in_transition()) {
+          // §IV-B false-negative check: the digest reported the key cold,
+          // but is it resident on its old-mapping server? Cheap in-process
+          // (one hash + index probe), and it makes the paper's FN bound a
+          // measured quantity instead of a modeled one.
+          const int old_server =
+              placement_->server_for(hash_bytes(key), router.old_active());
+          if (old_server != read.primary() &&
+              server(old_server).power_state() != cache::PowerState::kOff &&
+              server(old_server).contains(k, now)) {
+            ++stats_.digest_false_negatives;
+            obs::emit(options_.trace, now,
+                      obs::TraceEventKind::kDigestFalseNegative, old_server,
+                      read.primary(), 0, key);
+          }
+        }
+        ++stats_.backend_fetches;
+        value = backend_(key);
+        if (ctx.active()) {
+          ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
+                    obs::SpanCause::kBackendFill, key);
+        }
+        read.on_backend(cluster::TransitionRead::Fetch::kFetched);
+        break;
+      case Step::Kind::kDone:
+        if (read.outcome() == cluster::TransitionRead::Outcome::kNewHit) {
+          ++stats_.new_server_hits;
+        } else if (read.outcome() ==
+                   cluster::TransitionRead::Outcome::kOldHit) {
+          ++stats_.old_server_hits;
+        }
+        if (read.deferred()) {
+          // The throttle kept the write-back from competing with foreground
+          // traffic; the hit is still served from the old location.
+          ++stats_.migrations_deferred;
+          obs::emit(options_.trace, now,
+                    obs::TraceEventKind::kMigrationDeferred, read.fallback(),
+                    read.primary(), value.size(), key);
+          if (ctx.active()) {
+            ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
+                      read.primary(), obs::SpanCause::kThrottled, key);
+          }
+        }
+        ctx.root_cause = read.root_cause();
+        return value;
     }
   }
-
-  // Line 10: false positive or cold data — the backend is authoritative.
-  ++stats_.backend_fetches;
-  std::string value = backend_(key);
-  if (ctx.active()) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
-              obs::SpanCause::kBackendFill, key);
-  }
-  mutable_server(d.primary).set(k, value, now, charge_for(value));
-  if (ctx.active()) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kFill, d.primary,
-              obs::SpanCause::kStored, key);
-    ctx.root_cause = obs::SpanCause::kBackendFill;
-  }
-  return value;
 }
 
 void Proteus::put(std::string_view key, std::string value, SimTime now) {
   tick(now);
   ++stats_.puts;
-  const cluster::Router::Decision d = router_.decide(key);
+  const cluster::Router::Decision d = lifecycle_.router().decide(key);
   const std::string k(key);
   const std::size_t charge = charge_for(value);
   // Invalidate every other powered location first. Besides the in-flight
@@ -278,69 +198,7 @@ void Proteus::erase(std::string_view key, SimTime now) {
 
 void Proteus::resize(int n_active, SimTime now) {
   tick(now);
-  PROTEUS_CHECK(n_active >= 1 && n_active <= options_.max_servers);
-  const int n_old = router_.active();
-  if (n_active == n_old) return;
-  ++stats_.resizes;
-
-  // Overlapping transitions: finalize the pending one first (§IV assumes
-  // the provisioning period is much longer than TTL).
-  if (router_.in_transition()) finalize_transition();
-
-  // Bump the fencing epoch and write the plan ahead of acting on it: after
-  // a crash anywhere past this append, replay reconstructs the transition.
-  ++epoch_;
-  const SimTime drain_end = now + options_.ttl;
-  if (journal_.is_open()) {
-    core::JournalRecord begin;
-    begin.kind = core::JournalRecordKind::kResizeBegin;
-    begin.a = epoch_;
-    begin.b = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(n_old))
-               << 32) |
-              static_cast<std::uint32_t>(n_active);
-    begin.c = static_cast<std::uint64_t>(drain_end);
-    journal_.append(begin);
-  }
-
-  obs::emit(options_.trace, now, obs::TraceEventKind::kResizeBegin, n_old,
-            n_active);
-  obs::emit(options_.trace, now, obs::TraceEventKind::kEpochBump, -1, -1,
-            epoch_);
-
-  // Broadcast digests of every old-mapping server (§IV-A).
-  std::vector<std::optional<bloom::BloomFilter>> digests(
-      static_cast<std::size_t>(options_.max_servers));
-  for (int i = 0; i < n_old; ++i) {
-    auto snapshot = servers_[static_cast<std::size_t>(i)]->snapshot_digest();
-    obs::emit(options_.trace, now, obs::TraceEventKind::kDigestSnapshot, i,
-              -1, snapshot.words().size() * sizeof(std::uint64_t));
-    if (journal_.is_open()) {
-      core::JournalRecord rec;
-      rec.kind = core::JournalRecordKind::kDigestSnapshot;
-      rec.server = i;
-      rec.payload = cache::encode_digest(snapshot);
-      journal_.append(rec);
-    }
-    digests[static_cast<std::size_t>(i)] = std::move(snapshot);
-  }
-
-  for (int i = n_old; i < n_active; ++i) {
-    mutable_server(i).power_on();
-    obs::emit(options_.trace, now, obs::TraceEventKind::kPowerOn, i);
-  }
-  for (int i = n_active; i < n_old; ++i) {
-    mutable_server(i).begin_draining();
-    draining_.push_back(i);
-    if (journal_.is_open()) {
-      core::JournalRecord rec;
-      rec.kind = core::JournalRecordKind::kDrainBegin;
-      rec.server = i;
-      journal_.append(rec);
-    }
-    obs::emit(options_.trace, now, obs::TraceEventKind::kDrainBegin, i);
-  }
-
-  router_.begin_transition(n_active, drain_end, std::move(digests));
+  if (lifecycle_.resize(n_active, now)) ++stats_.resizes;
 }
 
 int Proteus::powered_servers() const noexcept {
@@ -352,7 +210,7 @@ int Proteus::powered_servers() const noexcept {
 }
 
 ring::TransitionPlan Proteus::plan_resize(int n_active) const {
-  return ring::plan_transition(*placement_, router_.active(), n_active,
+  return ring::plan_transition(*placement_, active_servers(), n_active,
                                bytes_cached());
 }
 
@@ -394,7 +252,7 @@ void Proteus::register_metrics(obs::MetricsRegistry& registry) const {
        [](const ProteusStats& s) { return s.journal_transitions_resumed; });
   registry.gauge_fn("proteus_cluster_epoch",
                     "fencing epoch, bumped on every resize",
-                    [this] { return static_cast<double>(epoch_); });
+                    [this] { return static_cast<double>(cluster_epoch()); });
   registry.gauge_fn("proteus_hit_ratio", "cache-tier hit ratio",
                     [this] { return stats_.hit_ratio(); });
   registry.gauge_fn("proteus_active_servers", "servers in the current mapping",

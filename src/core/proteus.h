@@ -31,10 +31,9 @@
 #include <vector>
 
 #include "cache/cache_server.h"
-#include "cluster/router.h"
 #include "common/time.h"
 #include "core/overload.h"
-#include "core/transition_journal.h"
+#include "core/transition_lifecycle.h"
 #include "hashring/migration_plan.h"
 #include "hashring/proteus_placement.h"
 #include "obs/audit.h"
@@ -140,15 +139,19 @@ class Proteus {
   // get/put/resize call this implicitly with their `now`.
   void tick(SimTime now);
 
-  int active_servers() const noexcept { return router_.active(); }
+  int active_servers() const noexcept { return lifecycle_.router().active(); }
   int powered_servers() const noexcept;
   int max_servers() const noexcept { return options_.max_servers; }
-  bool in_transition() const noexcept { return router_.in_transition(); }
+  bool in_transition() const noexcept {
+    return lifecycle_.router().in_transition();
+  }
 
   // Fencing epoch: bumped on every resize (and restored from the journal on
   // restart). Web tiers stamp it on wire mutations; see docs/PROTOCOL.md.
-  std::uint64_t cluster_epoch() const noexcept { return epoch_; }
-  const core::TransitionJournal& journal() const noexcept { return journal_; }
+  std::uint64_t cluster_epoch() const noexcept { return lifecycle_.epoch(); }
+  const core::TransitionJournal& journal() const noexcept {
+    return lifecycle_.journal();
+  }
 
   const ProteusStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = ProteusStats{}; }
@@ -175,12 +178,8 @@ class Proteus {
   // get() minus the trace envelope.
   std::string get_inner(std::string_view key, SimTime now,
                         obs::TraceContext& ctx);
-  void finalize_transition();
   // Feeds per-server counters into ProteusOptions::auditor (tick-gated).
   void feed_auditor(SimTime now);
-  // Journal replay: re-enters the interrupted transition recorded in `t`
-  // (ordinary tick() rolls it forward if the drain window already ended).
-  void resume_transition(const core::PendingTransition& t);
   std::size_t charge_for(const std::string& value) const noexcept {
     return options_.object_charge ? options_.object_charge : value.size();
   }
@@ -188,12 +187,9 @@ class Proteus {
   ProteusOptions options_;
   Backend backend_;
   std::shared_ptr<const ring::ProteusPlacement> placement_;
-  cluster::Router router_;
   std::vector<std::unique_ptr<cache::CacheServer>> servers_;
-  std::vector<int> draining_;
+  core::TransitionLifecycle lifecycle_;
   ProteusStats stats_;
-  core::TransitionJournal journal_;
-  std::uint64_t epoch_ = 0;
   SimTime last_audit_feed_ = 0;
 };
 

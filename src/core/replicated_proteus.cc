@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "cluster/transition_read.h"
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace proteus {
 
@@ -10,170 +12,96 @@ ReplicatedProteus::ReplicatedProteus(ReplicatedOptions options,
                                      Backend backend)
     : options_(options),
       backend_(std::move(backend)),
-      placement_(std::make_shared<ring::ProteusPlacement>(options.max_servers)) {
+      placement_(std::make_shared<ring::ProteusPlacement>(options.max_servers)),
+      failed_(static_cast<std::size_t>(options.max_servers), false),
+      lifecycle_(servers_,
+                 std::make_shared<cluster::Router>(
+                     placement_, options.initial_servers > 0
+                                     ? options.initial_servers
+                                     : options.max_servers),
+                 options.ttl, /*trace=*/nullptr, &failed_) {
   PROTEUS_CHECK(backend_ != nullptr);
   PROTEUS_CHECK(options_.max_servers >= 1);
-  PROTEUS_CHECK(options_.replicas >= 1);
-
-  const int initial = options_.initial_servers > 0 ? options_.initial_servers
-                                                   : options_.max_servers;
-  routers_.reserve(static_cast<std::size_t>(options_.replicas));
-  for (int r = 0; r < options_.replicas; ++r) {
-    routers_.push_back(
-        std::make_unique<cluster::Router>(placement_, initial, r));
-  }
+  PROTEUS_CHECK(options_.replicas >= 1 &&
+                options_.replicas <= cluster::TransitionRead::kMaxReplicas);
   servers_.reserve(static_cast<std::size_t>(options_.max_servers));
-  failed_.assign(static_cast<std::size_t>(options_.max_servers), false);
   health_.assign(static_cast<std::size_t>(options_.max_servers),
                  core::EndpointHealth{});
   for (int i = 0; i < options_.max_servers; ++i) {
     servers_.push_back(
         std::make_unique<cache::CacheServer>(options_.per_server));
-    if (i >= initial) servers_.back()->power_off();
+    if (i >= active_servers()) servers_.back()->power_off();
   }
-
-  if (!options_.journal_path.empty()) {
-    std::vector<core::JournalRecord> replayed;
-    if (journal_.open(options_.journal_path, replayed)) {
-      std::uint64_t epoch = 0;
-      auto pending = core::interpret_journal(replayed, epoch);
-      epoch_ = epoch;
-      if (pending.has_value() && pending->n_old >= 1 &&
-          pending->n_old <= options_.max_servers && pending->n_new >= 1 &&
-          pending->n_new <= options_.max_servers) {
-        const core::PendingTransition& t = *pending;
-        if (t.epoch > epoch_) epoch_ = t.epoch;
-        for (int i = 0; i < options_.max_servers; ++i) {
-          const bool want_on =
-              i < std::max(t.n_old, t.n_new) && !failed_[static_cast<std::size_t>(i)];
-          cache::CacheServer& server = mutable_server(i);
-          if (want_on && server.power_state() == cache::PowerState::kOff) {
-            server.power_on();
-          } else if (!want_on &&
-                     server.power_state() != cache::PowerState::kOff) {
-            server.power_off();
-          }
-        }
-        draining_.clear();
-        for (int i : t.draining) {
-          if (i < 0 || i >= options_.max_servers) continue;
-          if (failed_[static_cast<std::size_t>(i)]) continue;
-          mutable_server(i).begin_draining();
-          draining_.push_back(i);
-        }
-        std::vector<std::optional<bloom::BloomFilter>> digests(
-            static_cast<std::size_t>(options_.max_servers));
-        for (const auto& [server, encoded] : t.digests) {
-          if (server < 0 || server >= options_.max_servers) continue;
-          if (encoded.size() < 24 || encoded.size() % 8 != 0) continue;
-          digests[static_cast<std::size_t>(server)] =
-              cache::decode_digest(encoded);
-        }
-        for (auto& router : routers_) {
-          router->set_active(t.n_old);
-          router->begin_transition(t.n_new, t.drain_end, digests);
-        }
-      }
-    }
-  }
-}
-
-void ReplicatedProteus::tick(SimTime now) {
-  if (routers_.front()->in_transition() &&
-      now >= routers_.front()->transition_end()) {
-    finalize_transition();
-  }
-}
-
-void ReplicatedProteus::finalize_transition() {
-  for (int i : draining_) {
-    if (!failed_[static_cast<std::size_t>(i)]) mutable_server(i).power_off();
-  }
-  draining_.clear();
-  for (auto& router : routers_) router->finalize_transition();
-  if (journal_.is_open()) {
-    core::JournalRecord fin;
-    fin.kind = core::JournalRecordKind::kFinalize;
-    fin.a = epoch_;
-    journal_.append(fin);
-    journal_.compact({fin});
-  }
+  lifecycle_.replay(options_.journal_path);
 }
 
 std::vector<int> ReplicatedProteus::replica_servers(
     std::string_view key) const {
+  const std::uint64_t h = hash_bytes(key);
   std::vector<int> out;
-  out.reserve(routers_.size());
-  for (const auto& router : routers_) {
-    out.push_back(router->decide(key).primary);
+  out.reserve(static_cast<std::size_t>(options_.replicas));
+  for (int r = 0; r < options_.replicas; ++r) {
+    out.push_back(
+        placement_->server_for(ring::replica_ring_hash(h, r), active_servers()));
   }
   return out;
 }
 
 std::string ReplicatedProteus::get(std::string_view key, SimTime now) {
+  using Step = cluster::TransitionRead::Step;
+  using Reply = cluster::TransitionRead::Reply;
+  using Outcome = cluster::TransitionRead::Outcome;
   tick(now);
   last_now_ = now;
   ++stats_.gets;
+  const cluster::Router& router = lifecycle_.router();
+  cluster::TransitionRead read(router, router.decide(key), key,
+                               options_.replicas);
   const std::string k(key);
-
-  // Walk the replica chain: ring 0 first (cheapest, balanced), failing over
-  // to the other rings' locations. Remember live locations that missed so
-  // the fetched value can repair them.
-  std::vector<int> repair;
   std::string value;
-  bool found = false;
-
-  for (std::size_t ring = 0; ring < routers_.size() && !found; ++ring) {
-    const cluster::Router::Decision d = routers_[ring]->decide(k);
-    if (!admit(d.primary, now)) {
-      // Crashed, powered off, or health-quarantined — skipped either way.
-      ++stats_.failed_server_skips;
-      continue;
-    }
-    if (auto v = mutable_server(d.primary).get(k, now)) {
-      value = std::move(*v);
-      found = true;
-      note_success(d.primary, now);
-      if (ring == 0) {
-        ++stats_.primary_ring_hits;
-      } else {
-        ++stats_.replica_ring_hits;
-      }
-      break;
-    }
-    note_success(d.primary, now);  // a clean miss is a healthy answer
-    // Algorithm 2 lines 6-8 on this ring: the digest may place the data on
-    // the ring's OLD location during a transition.
-    if (d.fallback >= 0 && usable(d.fallback)) {
-      if (auto v = mutable_server(d.fallback).get(k, now)) {
-        value = std::move(*v);
-        found = true;
-        ++stats_.old_server_hits;
-        repair.push_back(d.primary);  // migrate to the ring's new location
+  for (;;) {
+    const Step step = read.next();
+    switch (step.kind) {
+      case Step::Kind::kGet: {
+        // The current mapping's locations pass the health machine; an old
+        // location is read whenever it is still up.
+        const bool current = step.role != obs::SpanKind::kMigrationFetch;
+        if (current ? !admit(step.server, now) : !usable(step.server)) {
+          // Crashed, powered off, or health-quarantined — skipped either way.
+          if (current) ++stats_.failed_server_skips;
+          read.on_get(Reply::kDown);
+          break;
+        }
+        auto hit = mutable_server(step.server).get(k, now);
+        if (current) note_success(step.server, now);  // a miss is healthy too
+        if (hit) value = std::move(*hit);
+        read.on_get(hit ? Reply::kHit : Reply::kMiss);
         break;
       }
+      case Step::Kind::kThrottle:
+        read.on_throttle(true);
+        break;
+      case Step::Kind::kStore:
+        // Write-all to the live replica locations: the line-12 migration
+        // and the miss-path fill both repair every copy.
+        for (int server : read) {
+          if (usable(server)) {
+            mutable_server(server).set(k, value, now, charge_for(value));
+          }
+        }
+        break;
+      case Step::Kind::kBackend:
+        ++stats_.backend_fetches;
+        value = backend_(key);
+        read.on_backend(cluster::TransitionRead::Fetch::kFetched);
+        break;
+      case Step::Kind::kDone:
+        if (read.outcome() == Outcome::kNewHit) ++stats_.primary_ring_hits;
+        if (read.outcome() == Outcome::kFailoverHit) ++stats_.replica_ring_hits;
+        if (read.outcome() == Outcome::kOldHit) ++stats_.old_server_hits;
+        return value;
     }
-    repair.push_back(d.primary);
   }
-
-  if (!found) {
-    ++stats_.backend_fetches;
-    value = backend_(key);
-    // Populate every live replica location (write-all on the miss path).
-    for (const auto& router : routers_) {
-      const int server = router->decide(k).primary;
-      if (usable(server)) repair.push_back(server);
-    }
-  }
-
-  std::sort(repair.begin(), repair.end());
-  repair.erase(std::unique(repair.begin(), repair.end()), repair.end());
-  for (int server : repair) {
-    if (usable(server) && !mutable_server(server).contains(k, now)) {
-      mutable_server(server).set(k, value, now, charge_for(value));
-    }
-  }
-  return value;
 }
 
 void ReplicatedProteus::put(std::string_view key, std::string value,
@@ -187,11 +115,7 @@ void ReplicatedProteus::put(std::string_view key, std::string value,
   // OTHER powered server: copies abandoned by earlier mapping epochs (or
   // the in-flight transition's old locations) must not resurrect a stale
   // value when the mapping later returns to them.
-  std::vector<int> write_set;
-  write_set.reserve(routers_.size());
-  for (const auto& router : routers_) {
-    write_set.push_back(router->decide(k).primary);
-  }
+  const std::vector<int> write_set = replica_servers(k);
   for (int i = 0; i < options_.max_servers; ++i) {
     if (std::find(write_set.begin(), write_set.end(), i) == write_set.end() &&
         servers_[static_cast<std::size_t>(i)]->power_state() !=
@@ -217,63 +141,7 @@ void ReplicatedProteus::erase(std::string_view key, SimTime now) {
 
 void ReplicatedProteus::resize(int n_active, SimTime now) {
   tick(now);
-  PROTEUS_CHECK(n_active >= 1 && n_active <= options_.max_servers);
-  const int n_old = routers_.front()->active();
-  if (n_active == n_old) return;
-
-  if (routers_.front()->in_transition()) finalize_transition();
-
-  // Bump the fencing epoch and journal the plan before acting on it.
-  ++epoch_;
-  const SimTime drain_end = now + options_.ttl;
-  if (journal_.is_open()) {
-    core::JournalRecord begin;
-    begin.kind = core::JournalRecordKind::kResizeBegin;
-    begin.a = epoch_;
-    begin.b = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(n_old))
-               << 32) |
-              static_cast<std::uint32_t>(n_active);
-    begin.c = static_cast<std::uint64_t>(drain_end);
-    journal_.append(begin);
-  }
-
-  for (int i = n_old; i < n_active; ++i) {
-    if (!failed_[static_cast<std::size_t>(i)]) mutable_server(i).power_on();
-  }
-  for (int i = n_active; i < n_old; ++i) {
-    if (!failed_[static_cast<std::size_t>(i)]) {
-      mutable_server(i).begin_draining();
-      draining_.push_back(i);
-      if (journal_.is_open()) {
-        core::JournalRecord rec;
-        rec.kind = core::JournalRecordKind::kDrainBegin;
-        rec.server = i;
-        journal_.append(rec);
-      }
-    }
-  }
-
-  // One digest snapshot per old-active server, shared by all rings (the
-  // digest covers the server's whole content regardless of which ring put
-  // each key there).
-  std::vector<std::optional<bloom::BloomFilter>> digests(
-      static_cast<std::size_t>(options_.max_servers));
-  for (int i = 0; i < n_old; ++i) {
-    if (usable(i)) {
-      auto snapshot = servers_[static_cast<std::size_t>(i)]->snapshot_digest();
-      if (journal_.is_open()) {
-        core::JournalRecord rec;
-        rec.kind = core::JournalRecordKind::kDigestSnapshot;
-        rec.server = i;
-        rec.payload = cache::encode_digest(snapshot);
-        journal_.append(rec);
-      }
-      digests[static_cast<std::size_t>(i)] = std::move(snapshot);
-    }
-  }
-  for (auto& router : routers_) {
-    router->begin_transition(n_active, drain_end, digests);
-  }
+  lifecycle_.resize(n_active, now);
 }
 
 void ReplicatedProteus::fail_server(int server) {
@@ -296,7 +164,7 @@ void ReplicatedProteus::recover_server(int server) {
   // Operator re-admission: skip the probe dwell, prove health in probation.
   health_[static_cast<std::size_t>(server)].begin_probation();
   // Rejoin cold if the server is inside the active set.
-  if (server < routers_.front()->active()) {
+  if (server < active_servers()) {
     mutable_server(server).power_on();
   }
 }

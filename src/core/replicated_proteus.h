@@ -6,11 +6,12 @@
 // hash selects on EVERY ring (occasionally the same server twice — the
 // Eq. (3) conflict case, which the paper accepts as rare).
 //
-// Reads walk the rings in order and return the first replica that answers;
-// a crashed server is simply skipped, so a single failure costs nothing but
-// the copies that only lived there — no remapping, no transition. Writes go
-// to all replica locations. Provisioning transitions (Algorithm 2) run
-// per-ring with a shared digest broadcast.
+// Reads follow the one Algorithm 2 rule (cluster/transition_read.h): ring 0
+// first; only while its server is down do they fail over to the other
+// rings' locations, so a single crash costs nothing but the copies that only
+// lived there — no remapping, no transition. Writes go to all replica
+// locations. Provisioning transitions route by ring 0's mapping and digest
+// broadcast (core/transition_lifecycle.h).
 //
 // Failure model: fail_server() emulates a crash — the server's memory (and
 // digest) is lost and routing skips it until recover_server(). This matches
@@ -33,11 +34,10 @@
 #include <vector>
 
 #include "cache/cache_server.h"
-#include "cluster/router.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "core/endpoint_health.h"
-#include "core/transition_journal.h"
+#include "core/transition_lifecycle.h"
 #include "hashring/proteus_placement.h"
 #include "hashring/replicated_ring.h"
 
@@ -79,9 +79,9 @@ class ReplicatedProteus {
 
   ReplicatedProteus(ReplicatedOptions options, Backend backend);
 
-  // Reads through the replica chain; repairs missing replicas on the way
-  // (read-repair: whatever is fetched is written back to every live replica
-  // location that missed).
+  // Algorithm 2 over the replica rings (cluster/transition_read.h). An
+  // old-location hit or a backend fetch is written back to every live
+  // replica location.
   std::string get(std::string_view key, SimTime now);
 
   // Writes to every replica location (write-all, the §III-E storage rule).
@@ -90,7 +90,7 @@ class ReplicatedProteus {
 
   // Smooth provisioning transition across all rings (§IV per ring).
   void resize(int n_active, SimTime now);
-  void tick(SimTime now);
+  void tick(SimTime now) { lifecycle_.tick(now); }
 
   // Crash / recovery injection. fail_server force-quarantines the server's
   // health detector; recover_server re-admits it through probation.
@@ -102,12 +102,16 @@ class ReplicatedProteus {
     return health_.at(static_cast<std::size_t>(server));
   }
 
-  int active_servers() const noexcept { return routers_.front()->active(); }
+  int active_servers() const noexcept { return lifecycle_.router().active(); }
   int replicas() const noexcept { return options_.replicas; }
-  bool in_transition() const noexcept { return routers_.front()->in_transition(); }
+  bool in_transition() const noexcept {
+    return lifecycle_.router().in_transition();
+  }
   // Fencing epoch, bumped on every resize and restored from the journal.
-  std::uint64_t cluster_epoch() const noexcept { return epoch_; }
-  const core::TransitionJournal& journal() const noexcept { return journal_; }
+  std::uint64_t cluster_epoch() const noexcept { return lifecycle_.epoch(); }
+  const core::TransitionJournal& journal() const noexcept {
+    return lifecycle_.journal();
+  }
   const ReplicatedStats& stats() const noexcept { return stats_; }
   const cache::CacheServer& server(int i) const { return *servers_.at(static_cast<std::size_t>(i)); }
   const ring::ProteusPlacement& placement() const noexcept { return *placement_; }
@@ -133,7 +137,6 @@ class ReplicatedProteus {
   void note_success(int server, SimTime now) {
     health_[static_cast<std::size_t>(server)].record_success(now, 0, rng_);
   }
-  void finalize_transition();
   std::size_t charge_for(const std::string& value) const noexcept {
     return options_.object_charge ? options_.object_charge : value.size();
   }
@@ -141,16 +144,13 @@ class ReplicatedProteus {
   ReplicatedOptions options_;
   Backend backend_;
   std::shared_ptr<const ring::ProteusPlacement> placement_;
-  std::vector<std::unique_ptr<cluster::Router>> routers_;  // one per ring
   std::vector<std::unique_ptr<cache::CacheServer>> servers_;
-  std::vector<bool> failed_;
+  std::vector<bool> failed_;  // the lifecycle's skip set
+  core::TransitionLifecycle lifecycle_;
   std::vector<core::EndpointHealth> health_;  // routing signal per server
   Rng rng_{0x9e3779b97f4a7c15ULL};  // probe-dwell jitter, deterministic
   SimTime last_now_ = 0;  // latest caller clock, for clock-less injections
-  std::vector<int> draining_;
   ReplicatedStats stats_;
-  core::TransitionJournal journal_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace proteus

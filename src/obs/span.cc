@@ -76,7 +76,6 @@ std::string_view span_cause_name(SpanCause cause) noexcept {
     case SpanCause::kTimeout: return "timeout";
     case SpanCause::kReset: return "reset";
     case SpanCause::kProtocolError: return "protocol_error";
-    case SpanCause::kBreakerOpen: return "breaker_open";
     case SpanCause::kDigestHot: return "digest_hot";
     case SpanCause::kDigestCold: return "digest_cold";
     case SpanCause::kOldHit: return "old_hit";

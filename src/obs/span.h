@@ -75,7 +75,6 @@ enum class SpanCause {
   kTimeout,        // attempt hit its deadline
   kReset,          // connection reset / EOF mid-op
   kProtocolError,  // desynced reply
-  kBreakerOpen,    // endpoint skipped, circuit breaker open
   kDigestHot,      // digest marked the key hot on its old location
   kDigestCold,     // digest consulted, key cold
   kOldHit,         // served via on-demand migration (Algorithm 2 line 7)

@@ -22,7 +22,6 @@
 #include "core/replicated_proteus.h"       // IWYU pragma: export
 #include "hashring/migration_plan.h"       // IWYU pragma: export
 #include "hashring/proteus_placement.h"    // IWYU pragma: export
-#include "hashring/routing_table.h"        // IWYU pragma: export
 #include "hashring/weighted_placement.h"   // IWYU pragma: export
 #include "net/memcache_daemon.h"           // IWYU pragma: export
 #include "workload/popularity.h"           // IWYU pragma: export

@@ -318,9 +318,9 @@ class LiveFleet : public ::testing::Test {
     opt.connect_timeout = 200 * kMillisecond;
     opt.op_timeout = 200 * kMillisecond;
     opt.max_attempts = 2;
-    opt.breaker.failure_threshold = 3;
-    opt.breaker.backoff.base_delay = 500 * kMillisecond;
-    opt.breaker.backoff.max_delay = 5 * kSecond;
+    opt.health.error_threshold = 3;
+    opt.health.quarantine_base = 500 * kMillisecond;
+    opt.health.quarantine_cap = 5 * kSecond;
     // Error-driven health only: exact hit/miss assertions must not move
     // with wall-clock scheduling jitter on a loaded CI core.
     opt.health.min_deviation_usec = 1e9;
