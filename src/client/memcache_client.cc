@@ -42,6 +42,9 @@ constexpr std::size_t kMaxLineBytes = 64 * 1024;
 // Upper bound on a single value a daemon may announce; anything larger is
 // a desynced length field, not data.
 constexpr std::size_t kMaxValueBytes = 256u << 20;
+// A write-behind queue this large goes out without waiting for a command,
+// so a client whose commands never reach an endpoint cannot pile stores up.
+constexpr std::size_t kMaxQueuedBytes = 64 * 1024;
 
 obs::SpanCause cause_of(net::NetError error) noexcept {
   switch (error) {
@@ -135,6 +138,11 @@ MemcacheConnection::MemcacheConnection(MemcacheConnection&& other) noexcept
       options_(std::move(other.options_)),
       last_error_(other.last_error_),
       buffer_(std::move(other.buffer_)),
+      out_(std::move(other.out_)),
+      queued_stores_(std::exchange(other.queued_stores_, 0)),
+      lead_bg_at_(std::exchange(other.lead_bg_at_, std::string::npos)),
+      deferred_replies_(std::exchange(other.deferred_replies_, 0)),
+      deferred_(std::exchange(other.deferred_, {})),
       get_stage_(other.get_stage_),
       pending_bytes_(other.pending_bytes_),
       pending_value_(std::move(other.pending_value_)),
@@ -150,6 +158,12 @@ void MemcacheConnection::close_now() {
     ::close(fd_);
     fd_ = -1;
   }
+  // Stores still queued, or sent but unanswered, die with the stream.
+  deferred_.dropped += queued_stores_ + deferred_replies_;
+  queued_stores_ = 0;
+  deferred_replies_ = 0;
+  lead_bg_at_ = std::string::npos;
+  out_.clear();
 }
 
 void MemcacheConnection::fail(net::NetError error) {
@@ -205,26 +219,123 @@ bool MemcacheConnection::send_all(std::string_view bytes, SimTime deadline) {
   return true;
 }
 
-std::optional<std::string> MemcacheConnection::read_line(SimTime deadline) {
+bool MemcacheConnection::send_out(SimTime deadline, bool background) {
+  if (lead_bg_at_ != std::string::npos) {
+    if (background) out_.insert(lead_bg_at_, " bg");
+    lead_bg_at_ = std::string::npos;
+  }
+  deferred_replies_ += queued_stores_;
+  queued_stores_ = 0;
+  const bool sent = send_all(out_, deadline);
+  out_.clear();
+  return sent;
+}
+
+std::size_t MemcacheConnection::frame_set(std::string_view key,
+                                          std::string_view value,
+                                          std::uint32_t flags,
+                                          std::uint64_t trace_id,
+                                          bool background, std::uint64_t epoch,
+                                          bool with_checksum) {
+  out_ += "set ";
+  out_.append(key);
+  out_ += ' ';
+  out_ += std::to_string(flags);
+  out_ += " 0 ";
+  out_ += std::to_string(value.size());
+  append_meta_tokens(out_, epoch, trace_id, background,
+                     with_checksum ? std::optional<std::uint32_t>(crc32c(value))
+                                   : std::nullopt);
+  const std::size_t line_end = out_.size();
+  out_ += "\r\n";
+  out_.append(value);
+  out_ += "\r\n";
+  return line_end;
+}
+
+bool MemcacheConnection::enqueue_set(std::string_view key,
+                                     std::string_view value,
+                                     std::uint32_t flags,
+                                     std::uint64_t trace_id, bool background,
+                                     std::uint64_t epoch, bool with_checksum) {
+  if (!ok()) return false;
+  // Framed without `bg`: only the lead store's token matters (the daemon
+  // classifies a chunk by its first line), and send_out() decides it.
+  const std::size_t line_end = frame_set(key, value, flags, trace_id, false,
+                                         epoch, with_checksum);
+  if (queued_stores_++ == 0 && background) lead_bg_at_ = line_end;
+  if (out_.size() >= kMaxQueuedBytes) flush();  // a failure tallies a drop
+  return true;
+}
+
+bool MemcacheConnection::flush() {
+  if (!ok()) return false;
+  if (queued_stores_ == 0) return true;
+  return send_out(op_deadline(), /*background=*/true);
+}
+
+bool MemcacheConnection::settle() {
+  if (!flush()) return false;
+  last_error_ = net::NetError::kNone;
+  return settle_deferred(op_deadline(), /*following=*/0);
+}
+
+bool MemcacheConnection::absorb_deferred_reply(std::string_view line,
+                                               std::size_t following) {
+  if (line.starts_with(kOverloadedReply)) {
+    if (deferred_replies_ + following > 1) {
+      // An admission-shed chunk gets this one line for all of its
+      // commands, so with more replies due the stream no longer lines up
+      // with them.
+      fail(net::NetError::kOverloaded);
+      return false;
+    }
+    ++deferred_.overloaded;
+  } else if (line.starts_with(kStaleEpochReply)) {
+    ++deferred_.stale_epoch;
+  } else if (line != "STORED" && line != "NOT_STORED" &&
+             !line.starts_with("SERVER_ERROR") &&
+             !line.starts_with("CLIENT_ERROR")) {
+    fail(net::NetError::kProtocol);
+    return false;
+  }
+  --deferred_replies_;
+  return true;
+}
+
+bool MemcacheConnection::settle_deferred(SimTime deadline,
+                                         std::size_t following) {
+  while (deferred_replies_ > 0) {
+    const auto line = read_line(deadline);
+    if (!line.has_value() || !absorb_deferred_reply(*line, following)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::optional<std::string_view> MemcacheConnection::read_line(
+    SimTime deadline) {
   for (;;) {
-    const std::size_t eol = buffer_.find("\r\n");
-    if (eol != std::string::npos) {
+    const std::string_view data = buffer_.view();
+    const std::size_t eol = data.find("\r\n");
+    if (eol != std::string_view::npos) {
       if (eol > kMaxLineBytes) {
         fail(net::NetError::kProtocol);
         return std::nullopt;
       }
-      std::string line = buffer_.substr(0, eol);
-      buffer_.erase(0, eol + 2);
-      return line;
+      buffer_.consume(eol + 2);
+      return data.substr(0, eol);
     }
-    if (buffer_.size() > kMaxLineBytes) {
+    if (data.size() > kMaxLineBytes) {
       fail(net::NetError::kProtocol);
       return std::nullopt;
     }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    std::size_t room = 0;
+    char* spare = buffer_.spare(room);
+    const ssize_t n = ::recv(fd_, spare, room, 0);
     if (n > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(n));
+      buffer_.commit(static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) {
@@ -253,22 +364,42 @@ bool MemcacheConnection::begin_get(std::string_view key,
   pending_bytes_ = 0;
   pending_value_.clear();
   value_checksum_.reset();
-  std::string cmd = "get ";
-  cmd.append(key);
-  append_meta_tokens(cmd, epoch, trace_id, background,
+  out_ += "get ";
+  out_.append(key);
+  append_meta_tokens(out_, epoch, trace_id, background,
                      want_checksum ? std::optional<std::uint32_t>(0)
                                    : std::nullopt);
-  cmd += "\r\n";
-  if (!send_all(cmd, op_deadline())) return false;
+  out_ += "\r\n";
+  if (!send_out(op_deadline(), background)) return false;
   get_stage_ = GetStage::kHeader;
   return true;
 }
 
+char* MemcacheConnection::RecvBuffer::spare(std::size_t& room) {
+  if (capacity_ - end_ < kSpare) {
+    const std::size_t live = end_ - begin_;
+    if (capacity_ - live >= kSpare) {
+      std::memmove(data_.get(), data_.get() + begin_, live);
+    } else {
+      const std::size_t capacity = std::max(2 * capacity_, live + kSpare);
+      auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+      if (live > 0) std::memcpy(grown.get(), data_.get() + begin_, live);
+      data_ = std::move(grown);
+      capacity_ = capacity;
+    }
+    begin_ = 0;
+    end_ = live;
+  }
+  room = capacity_ - end_;
+  return data_.get() + end_;
+}
+
 int MemcacheConnection::fill_nonblocking() {
-  char chunk[4096];
-  const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+  std::size_t room = 0;
+  char* spare = buffer_.spare(room);
+  const ssize_t n = ::recv(fd_, spare, room, 0);
   if (n > 0) {
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    buffer_.commit(static_cast<std::size_t>(n));
     return static_cast<int>(n);
   }
   if (n == 0) {
@@ -287,22 +418,31 @@ MemcacheConnection::GetProgress MemcacheConnection::step_get(
       case GetStage::kIdle:
         return GetProgress::kDone;
       case GetStage::kHeader: {
-        const std::size_t eol = buffer_.find("\r\n");
-        if (eol == std::string::npos) {
-          if (buffer_.size() > kMaxLineBytes) {
+        const std::string_view data = buffer_.view();
+        const std::size_t eol = data.find("\r\n");
+        if (eol == std::string_view::npos) {
+          if (data.size() > kMaxLineBytes) {
             fail(net::NetError::kProtocol);
             get_stage_ = GetStage::kIdle;
             return GetProgress::kDone;
           }
           return GetProgress::kPending;
         }
-        const std::string header = buffer_.substr(0, eol);
-        buffer_.erase(0, eol + 2);
+        const std::string_view header = data.substr(0, eol);
+        buffer_.consume(eol + 2);
+        if (deferred_replies_ > 0) {
+          // Replies to the stores sent ahead of this GET come first.
+          if (!absorb_deferred_reply(header, /*following=*/1)) {
+            get_stage_ = GetStage::kIdle;
+            return GetProgress::kDone;
+          }
+          break;
+        }
         if (header == "END") {  // miss (last_error_ == kNone)
           get_stage_ = GetStage::kIdle;
           return GetProgress::kDone;
         }
-        if (header.rfind(kOverloadedReply, 0) == 0) {
+        if (header.starts_with(kOverloadedReply)) {
           // Admission-control shed: a healthy, well-formed refusal. The
           // stream stays in sync (the daemon consumed the batch), so keep
           // the socket.
@@ -310,37 +450,36 @@ MemcacheConnection::GetProgress MemcacheConnection::step_get(
           get_stage_ = GetStage::kIdle;
           return GetProgress::kDone;
         }
-        if (header.rfind(kStaleEpochReply, 0) == 0) {
+        if (header.starts_with(kStaleEpochReply)) {
           last_error_ = net::NetError::kStaleEpoch;
           get_stage_ = GetStage::kIdle;
           return GetProgress::kDone;
         }
         // "VALUE <key> <flags> <bytes>[ C<hex8>]" — anything else means the
         // stream is desynced and this connection can never be trusted again.
-        std::size_t bytes_begin = std::string::npos;
+        std::size_t bytes_begin = std::string_view::npos;
         std::size_t bytes_end = header.size();
-        if (header.rfind("VALUE ", 0) == 0) {
+        if (header.starts_with("VALUE ")) {
           // The byte count is the 4th token; a trailing C token (the echoed
           // stored checksum we asked for) may follow it.
           const std::size_t sp2 = header.find(' ', 6);
           const std::size_t sp3 =
-              sp2 == std::string::npos ? sp2 : header.find(' ', sp2 + 1);
-          if (sp3 != std::string::npos) {
+              sp2 == std::string_view::npos ? sp2 : header.find(' ', sp2 + 1);
+          if (sp3 != std::string_view::npos) {
             bytes_begin = sp3 + 1;
             const std::size_t sp4 = header.find(' ', bytes_begin);
-            if (sp4 != std::string::npos) {
+            if (sp4 != std::string_view::npos) {
               bytes_end = sp4;
               std::uint32_t crc = 0;
-              if (!obs::decode_checksum_token(
-                      std::string_view(header).substr(sp4 + 1), crc)) {
-                bytes_begin = std::string::npos;  // unknown extra token
+              if (!obs::decode_checksum_token(header.substr(sp4 + 1), crc)) {
+                bytes_begin = std::string_view::npos;  // unknown extra token
               } else {
                 value_checksum_ = crc;
               }
             }
           }
         }
-        if (bytes_begin == std::string::npos || bytes_begin >= bytes_end) {
+        if (bytes_begin == std::string_view::npos || bytes_begin >= bytes_end) {
           fail(net::NetError::kProtocol);
           get_stage_ = GetStage::kIdle;
           return GetProgress::kDone;
@@ -361,29 +500,31 @@ MemcacheConnection::GetProgress MemcacheConnection::step_get(
         break;
       }
       case GetStage::kBody: {
-        if (buffer_.size() < pending_bytes_ + 2) return GetProgress::kPending;
-        if (buffer_.compare(pending_bytes_, 2, "\r\n") != 0) {
+        const std::string_view data = buffer_.view();
+        if (data.size() < pending_bytes_ + 2) return GetProgress::kPending;
+        if (data.substr(pending_bytes_, 2) != "\r\n") {
           fail(net::NetError::kProtocol);
           get_stage_ = GetStage::kIdle;
           return GetProgress::kDone;
         }
-        pending_value_.assign(buffer_, 0, pending_bytes_);
-        buffer_.erase(0, pending_bytes_ + 2);
+        pending_value_.assign(data.substr(0, pending_bytes_));
+        buffer_.consume(pending_bytes_ + 2);
         get_stage_ = GetStage::kEnd;
         break;
       }
       case GetStage::kEnd: {
-        const std::size_t eol = buffer_.find("\r\n");
-        if (eol == std::string::npos) {
-          if (buffer_.size() > kMaxLineBytes) {
+        const std::string_view data = buffer_.view();
+        const std::size_t eol = data.find("\r\n");
+        if (eol == std::string_view::npos) {
+          if (data.size() > kMaxLineBytes) {
             fail(net::NetError::kProtocol);
             get_stage_ = GetStage::kIdle;
             return GetProgress::kDone;
           }
           return GetProgress::kPending;
         }
-        const bool is_end = eol == 3 && buffer_.compare(0, 3, "END") == 0;
-        buffer_.erase(0, eol + 2);
+        const bool is_end = data.substr(0, eol) == "END";
+        buffer_.consume(eol + 2);
         get_stage_ = GetStage::kIdle;
         if (!is_end) fail(net::NetError::kProtocol);
         if (is_end) value = std::move(pending_value_);
@@ -436,34 +577,26 @@ bool MemcacheConnection::set(std::string_view key, std::string_view value,
   if (!ok()) return false;
   last_error_ = net::NetError::kNone;
   const SimTime deadline = op_deadline();
-  std::string cmd = "set ";
-  cmd.append(key);
-  cmd += ' ';
-  cmd += std::to_string(flags);
-  cmd += " 0 ";
-  cmd += std::to_string(value.size());
-  append_meta_tokens(cmd, epoch, trace_id, background,
-                     with_checksum ? std::optional<std::uint32_t>(crc32c(value))
-                                   : std::nullopt);
-  cmd += "\r\n";
-  cmd.append(value);
-  cmd += "\r\n";
-  if (!send_all(cmd, deadline)) return false;
+  frame_set(key, value, flags, trace_id, background, epoch, with_checksum);
+  if (!send_out(deadline, background) ||
+      !settle_deferred(deadline, /*following=*/1)) {
+    return false;
+  }
   const auto reply = read_line(deadline);
   if (!reply.has_value()) return false;
   if (*reply == "STORED") return true;
   // Well-formed negative replies keep the connection; garbage kills it.
-  if (reply->rfind(kOverloadedReply, 0) == 0) {
+  if (reply->starts_with(kOverloadedReply)) {
     last_error_ = net::NetError::kOverloaded;
     return false;
   }
-  if (reply->rfind(kStaleEpochReply, 0) == 0) {
+  if (reply->starts_with(kStaleEpochReply)) {
     last_error_ = net::NetError::kStaleEpoch;
     return false;
   }
   if (*reply == "NOT_STORED" || *reply == "EXISTS" || *reply == "NOT_FOUND" ||
-      *reply == "ERROR" || reply->rfind("SERVER_ERROR", 0) == 0 ||
-      reply->rfind("CLIENT_ERROR", 0) == 0) {
+      *reply == "ERROR" || reply->starts_with("SERVER_ERROR") ||
+      reply->starts_with("CLIENT_ERROR")) {
     return false;
   }
   fail(net::NetError::kProtocol);
@@ -474,19 +607,22 @@ bool MemcacheConnection::erase(std::string_view key, std::uint64_t epoch) {
   if (!ok()) return false;
   last_error_ = net::NetError::kNone;
   const SimTime deadline = op_deadline();
-  std::string cmd = "delete ";
-  cmd.append(key);
-  append_meta_tokens(cmd, epoch, 0, false);
-  cmd += "\r\n";
-  if (!send_all(cmd, deadline)) return false;
+  out_ += "delete ";
+  out_.append(key);
+  append_meta_tokens(out_, epoch, 0, false);
+  out_ += "\r\n";
+  if (!send_out(deadline, false) ||
+      !settle_deferred(deadline, /*following=*/1)) {
+    return false;
+  }
   const auto reply = read_line(deadline);
   if (!reply.has_value()) return false;
   if (*reply == "DELETED") return true;
-  if (reply->rfind(kOverloadedReply, 0) == 0) {
+  if (reply->starts_with(kOverloadedReply)) {
     last_error_ = net::NetError::kOverloaded;
     return false;
   }
-  if (reply->rfind(kStaleEpochReply, 0) == 0) {
+  if (reply->starts_with(kStaleEpochReply)) {
     last_error_ = net::NetError::kStaleEpoch;
     return false;
   }
@@ -526,30 +662,33 @@ MemcacheConnection::stats(std::string_view arg) {
   if (!ok()) return std::nullopt;
   last_error_ = net::NetError::kNone;
   const SimTime deadline = op_deadline();
-  std::string cmd = "stats";
+  out_ += "stats";
   if (!arg.empty()) {
-    cmd += ' ';
-    cmd.append(arg);
+    out_ += ' ';
+    out_.append(arg);
   }
-  cmd += "\r\n";
-  if (!send_all(cmd, deadline)) return std::nullopt;
+  out_ += "\r\n";
+  if (!send_out(deadline, false) ||
+      !settle_deferred(deadline, /*following=*/1)) {
+    return std::nullopt;
+  }
   std::vector<std::pair<std::string, std::string>> out;
   for (;;) {
     const auto line = read_line(deadline);
     if (!line.has_value()) return std::nullopt;
     if (*line == "END") return out;
     if (*line == "RESET") return out;  // `stats reset` acknowledgment
-    if (*line == "ERROR" || line->rfind("SERVER_ERROR", 0) == 0 ||
-        line->rfind("CLIENT_ERROR", 0) == 0) {
+    if (*line == "ERROR" || line->starts_with("SERVER_ERROR") ||
+        line->starts_with("CLIENT_ERROR")) {
       return std::nullopt;  // well-formed rejection keeps the connection
     }
     // "STAT <name> <value...>" — anything else is a desynced stream.
-    if (line->rfind("STAT ", 0) != 0) {
+    if (!line->starts_with("STAT ")) {
       fail(net::NetError::kProtocol);
       return std::nullopt;
     }
     const std::size_t name_end = line->find(' ', 5);
-    if (name_end == std::string::npos) {
+    if (name_end == std::string_view::npos) {
       fail(net::NetError::kProtocol);
       return std::nullopt;
     }
@@ -566,14 +705,18 @@ std::string MemcacheConnection::version() {
   if (!ok()) return {};
   last_error_ = net::NetError::kNone;
   const SimTime deadline = op_deadline();
-  if (!send_all("version\r\n", deadline)) return {};
+  out_ += "version\r\n";
+  if (!send_out(deadline, false) ||
+      !settle_deferred(deadline, /*following=*/1)) {
+    return {};
+  }
   const auto reply = read_line(deadline);
   if (!reply.has_value()) return {};
-  if (reply->rfind("VERSION", 0) != 0) {
+  if (!reply->starts_with("VERSION")) {
     fail(net::NetError::kProtocol);
     return {};
   }
-  return *reply;
+  return std::string(*reply);
 }
 
 std::optional<bloom::BloomFilter> MemcacheConnection::fetch_digest() {
@@ -617,8 +760,11 @@ ProteusClient::ProteusClient(Options options, Backend backend)
   }
 }
 
+ProteusClient::~ProteusClient() { flush(); }
+
 MemcacheConnection* ProteusClient::acquire(int server, SimTime now) {
   Endpoint& ep = endpoints_[static_cast<std::size_t>(server)];
+  absorb_deferred(ep);  // before a reconnect replaces the connection
   if (!ep.health.allow(now)) {
     ++stats_.breaker_open_skips;
     return nullptr;
@@ -626,6 +772,7 @@ MemcacheConnection* ProteusClient::acquire(int server, SimTime now) {
   note_health_events(server, now);  // allow() may open probation (exit)
   if (ep.conn == nullptr || !ep.conn->ok()) {
     ++stats_.reconnects;
+    ep.refresh_pending = false;  // the hello below re-reads the view
     MemcacheConnection::Options copt;
     copt.host = ep.host;
     copt.connect_timeout = options_.connect_timeout;
@@ -661,23 +808,44 @@ MemcacheConnection* ProteusClient::acquire(int server, SimTime now) {
       return nullptr;
     }
   }
+  if (ep.refresh_pending) {
+    ep.refresh_pending = false;
+    refresh_view(server, now);
+  }
   return ep.conn.get();
+}
+
+void ProteusClient::absorb_deferred(Endpoint& ep) {
+  if (ep.conn == nullptr) return;
+  const MemcacheConnection::Deferred d = ep.conn->take_deferred();
+  // Deferred outcomes feed no latency sample: the reply arrived on the
+  // time of whichever command carried it.
+  stats_.stale_epoch_rejects += d.stale_epoch;
+  stats_.server_sheds += d.overloaded;
+  stats_.deferred_store_drops += d.dropped;
+  if (d.stale_epoch > 0) ep.refresh_pending = true;
 }
 
 void ProteusClient::record_failure(int server, net::NetError error,
                                    SimTime now) {
+  if (!count_error(error)) return;
+  endpoints_[static_cast<std::size_t>(server)].health.record_failure(now, rng_);
+  note_health_events(server, now);
+}
+
+bool ProteusClient::count_error(net::NetError error) {
   if (error == net::NetError::kOverloaded) {
     // A shed is a healthy server protecting itself — no health penalty
     // (quarantining it would shift load onto its equally loaded peers).
     ++stats_.server_sheds;
-    return;
+    return false;
   }
   if (error == net::NetError::kStaleEpoch) {
     // A fencing refusal is correctness, not ill health: the daemon is alive
     // and protecting the cluster from our outdated view. No health
     // penalty, no retry — the caller refreshes the view instead.
     ++stats_.stale_epoch_rejects;
-    return;
+    return false;
   }
   switch (error) {
     case net::NetError::kTimeout:  ++stats_.timeouts; break;
@@ -685,8 +853,7 @@ void ProteusClient::record_failure(int server, net::NetError error,
     case net::NetError::kProtocol: ++stats_.protocol_errors; break;
     default: break;  // kRefused shows up through reconnects + quarantines
   }
-  endpoints_[static_cast<std::size_t>(server)].health.record_failure(now, rng_);
-  note_health_events(server, now);
+  return true;
 }
 
 void ProteusClient::record_success(int server, SimTime now,
@@ -1079,6 +1246,23 @@ bool ProteusClient::cache_set(int server, std::string_view key,
   return stored;
 }
 
+void ProteusClient::store(int server, std::string_view key,
+                          std::string_view value, SimTime now,
+                          std::uint64_t trace_id, bool background) {
+  Endpoint& ep = endpoints_[static_cast<std::size_t>(server)];
+  if (ep.health.state() != core::EndpointHealth::State::kHealthy) {
+    cache_set(server, key, value, now, trace_id, background);
+    return;
+  }
+  MemcacheConnection* c = acquire(server, now);
+  if (c == nullptr) return;
+  if (c->queued() == 0) ep.queued_at = now;
+  if (c->enqueue_set(key, value, 0, trace_id, background, epoch_,
+                     /*with_checksum=*/true)) {
+    ++stats_.deferred_stores;
+  }
+}
+
 void ProteusClient::cache_erase(int server, std::string_view key,
                                 SimTime now) {
   MemcacheConnection* c = acquire(server, now);
@@ -1137,7 +1321,27 @@ std::optional<bloom::BloomFilter> ProteusClient::fetch_digest(int server,
   return std::nullopt;
 }
 
+void ProteusClient::flush() {
+  for (Endpoint& ep : endpoints_) {
+    if (ep.conn != nullptr && ep.conn->ok() && !ep.conn->settle()) {
+      // No `now` here to charge the health detector with; the next
+      // acquire() finds the connection dead and reconnects.
+      count_error(ep.conn->last_error());
+    }
+    absorb_deferred(ep);
+  }
+}
+
 void ProteusClient::tick(SimTime now) {
+  // Write-behind bound: a queue no command has carried out within
+  // kWriteBehindBound of `now` goes out on its own.
+  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
+    Endpoint& ep = endpoints_[i];
+    if (ep.conn != nullptr && ep.conn->queued() > 0 &&
+        now - ep.queued_at >= kWriteBehindBound && !ep.conn->flush()) {
+      record_failure(static_cast<int>(i), ep.conn->last_error(), now);
+    }
+  }
   // Background probe traffic: quarantined endpoints whose dwell elapsed are
   // pinged with a cheap `version` even if routing sends them nothing, so
   // re-admission never depends on a key happening to hash their way.
@@ -1200,6 +1404,7 @@ std::string ProteusClient::get(std::string_view key, SimTime now) {
   // spans tile the exact interval the latency histogram records.
   obs::TraceContext ctx = obs::TraceContext::begin(options_.spans, start_us);
   std::string value = get_inner(key, now, ctx);
+  for (Endpoint& ep : endpoints_) absorb_deferred(ep);
   const SimTime end_us = mono_usec();
   ctx.finish(end_us, start_us, key);
   // A sampled request leaves its trace id as the latency bucket's exemplar
@@ -1249,11 +1454,12 @@ std::string ProteusClient::get_inner(std::string_view key, SimTime now,
       }
       case Step::Kind::kStore: {
         // When a corrupt copy sent this read here, the store IS the read
-        // repair. Write-backs are maintenance traffic (`bg`).
+        // repair. Write-backs are maintenance traffic (`bg`). Neither
+        // blocks the read: store() queues them behind the next command.
         if (read.corrupt_seen()) ++stats_.read_repairs;
         const bool background = step.role == obs::SpanKind::kMigrationStore;
         for (int server : read) {
-          cache_set(server, key, value, now, ctx.trace_id, background);
+          store(server, key, value, now, ctx.trace_id, background);
         }
         if (ctx.active()) {
           ctx.child(obs::span_clock_now(), step.role, read.primary(),
@@ -1366,6 +1572,7 @@ void ProteusClient::put(std::string_view key, std::string_view value,
       }
     }
   }
+  for (Endpoint& ep : endpoints_) absorb_deferred(ep);
 }
 
 bool ProteusClient::resize(int n_active, SimTime now) {
@@ -1375,6 +1582,9 @@ bool ProteusClient::resize(int n_active, SimTime now) {
   const int n_old = router_.active();
   if (n_active == n_old) return true;
   if (router_.in_transition()) router_.finalize_transition();
+  // Queued stores land under the epoch they were stamped with, before the
+  // bump below and before the digest snapshots.
+  flush();
 
   // Fencing: advance the cluster epoch and teach it to every daemon the
   // transition touches BEFORE any routing changes. From this point a
@@ -1508,6 +1718,12 @@ void ProteusClient::register_metrics(obs::MetricsRegistry& registry) const {
   stat("proteus_client_read_repairs_total",
        "corrupt hits refilled from the database",
        [](const Stats& s) { return s.read_repairs; });
+  stat("proteus_client_deferred_stores_total",
+       "fills and write-backs queued behind the next command",
+       [](const Stats& s) { return s.deferred_stores; });
+  stat("proteus_client_deferred_store_drops_total",
+       "queued stores lost with an abandoned or reset connection",
+       [](const Stats& s) { return s.deferred_store_drops; });
   registry.gauge_fn("proteus_client_active_servers",
                     "endpoints in the current mapping",
                     [this] { return static_cast<double>(active_servers()); });

@@ -28,6 +28,11 @@
 // deviations), a budgeted (≤ hedge_rate of load) backup GET races it on
 // the key's replica location and the first well-formed answer wins.
 //
+// Write-behind: Algorithm 2's backend fills and line-12 write-backs to a
+// healthy endpoint do not block the read. They are queued on the
+// endpoint's connection and ride the next command there, their replies
+// checked in order ahead of that command's (docs/PROTOCOL.md).
+//
 // End-to-end payload integrity: every fill/put stamps the value's CRC32C
 // on the wire (C<hex8> meta-token, docs/PROTOCOL.md); every get asks the
 // daemon to echo the stored checksum and re-verifies it at arrival. A
@@ -168,13 +173,90 @@ class MemcacheConnection {
   // decoded into the broadcastable filter.
   std::optional<bloom::BloomFilter> fetch_digest();
 
+  // --- write-behind stores (client pipelining, docs/PROTOCOL.md) -------------
+  // enqueue_set() frames a `set` exactly as set() would (same C/E/O tokens)
+  // but parks it in this connection's output queue. The queue goes out in
+  // the same send() as the next command on the connection, or on flush(),
+  // and every queued store's reply is parsed in order ahead of that
+  // command's reply: STORED / NOT_STORED and SERVER_ERROR / CLIENT_ERROR
+  // refusals are accepted, stale-epoch and overloaded replies are tallied
+  // for the owner (take_deferred()), anything else desyncs the connection
+  // (kProtocol). The daemon classifies a whole read chunk by its first
+  // line, so a background store keeps its `bg` token only when the command
+  // it rides is background too (or it is flushed on its own).
+  //
+  // One `SERVER_ERROR overloaded` line may answer a whole admission-shed
+  // chunk. Read while more than one reply is outstanding it is ambiguous:
+  // the connection is abandoned and the command that read it fails with
+  // kOverloaded. A queue past 64 KiB is sent without waiting for a command.
+  bool enqueue_set(std::string_view key, std::string_view value,
+                   std::uint32_t flags = 0, std::uint64_t trace_id = 0,
+                   bool background = false, std::uint64_t epoch = 0,
+                   bool with_checksum = false);
+  // Sends the queue without waiting for its replies.
+  bool flush();
+  // flush(), then reads every outstanding store reply: a barrier.
+  bool settle();
+  std::size_t queued() const noexcept { return queued_stores_; }
+  // What happened to deferred stores since the last take_deferred().
+  // `dropped` counts stores whose reply was never read because the
+  // connection died or was abandoned (their fate is unknown).
+  struct Deferred {
+    std::uint64_t stale_epoch = 0;
+    std::uint64_t overloaded = 0;
+    std::uint64_t dropped = 0;
+  };
+  Deferred take_deferred() noexcept { return std::exchange(deferred_, {}); }
+
  private:
+  // Bytes received but not yet parsed. recv() writes straight into the
+  // spare capacity — at least kSpare bytes, so a 4 KiB hit (VALUE line,
+  // payload, END) arrives in one call — and parsers consume from the front
+  // by advancing an offset. Bytes move only when spare() compacts.
+  class RecvBuffer {
+   public:
+    static constexpr std::size_t kSpare = 64 * 1024;
+    std::string_view view() const noexcept {
+      return {data_.get() + begin_, end_ - begin_};
+    }
+    // Consumed bytes stay readable until the next spare() call.
+    void consume(std::size_t n) noexcept {
+      begin_ += n;
+      if (begin_ == end_) begin_ = end_ = 0;
+    }
+    // At least kSpare writable bytes at the back; `room` receives how many.
+    char* spare(std::size_t& room);
+    void commit(std::size_t n) noexcept { end_ += n; }
+
+   private:
+    std::unique_ptr<char[]> data_;
+    std::size_t capacity_ = 0;
+    std::size_t begin_ = 0;
+    std::size_t end_ = 0;
+  };
+
   // Deadline plumbing: each public op computes an absolute deadline on the
   // process monotonic clock; the primitives poll() against it.
   bool await_io(short events, SimTime deadline);
   bool send_all(std::string_view bytes, SimTime deadline);
-  // Reads until buffer_ contains a full line; returns it without CRLF.
-  std::optional<std::string> read_line(SimTime deadline);
+  // Sends out_ (the queued stores, then the command appended behind them)
+  // in one send_all(); the stores' replies become outstanding. A
+  // `background` send lets the lead store keep its `bg` token.
+  bool send_out(SimTime deadline, bool background);
+  // Appends a framed `set` to out_; returns the offset where a `bg` token
+  // would go (the end of the command line).
+  std::size_t frame_set(std::string_view key, std::string_view value,
+                        std::uint32_t flags, std::uint64_t trace_id,
+                        bool background, std::uint64_t epoch,
+                        bool with_checksum);
+  // Checks one outstanding store reply; `following` replies are still due
+  // behind it (the current command's own). False when the connection died.
+  bool absorb_deferred_reply(std::string_view line, std::size_t following);
+  // Reads and checks every outstanding store reply.
+  bool settle_deferred(SimTime deadline, std::size_t following);
+  // Reads until the buffer holds a full line; returns it without CRLF. The
+  // view stays valid until the next read.
+  std::optional<std::string_view> read_line(SimTime deadline);
   SimTime op_deadline() const noexcept;
   void fail(net::NetError error);
   void close_now();
@@ -191,7 +273,14 @@ class MemcacheConnection {
   int fd_ = -1;
   Options options_;
   net::NetError last_error_ = net::NetError::kNone;
-  std::string buffer_;
+  RecvBuffer buffer_;
+  // Output queue: framed stores not yet sent; each op appends its own
+  // command behind them and sends the lot.
+  std::string out_;
+  std::size_t queued_stores_ = 0;
+  std::size_t lead_bg_at_ = std::string::npos;  // lead store's `bg` slot
+  std::size_t deferred_replies_ = 0;  // stores sent, reply not yet read
+  Deferred deferred_;
   // Streaming-GET parser state.
   GetStage get_stage_ = GetStage::kIdle;
   std::size_t pending_bytes_ = 0;
@@ -273,7 +362,15 @@ class ProteusClient {
     obs::PowerAuditor* auditor = nullptr;
   };
 
+  // Algorithm 2's fills and line-12 write-backs to a healthy endpoint are
+  // write-behind: queued on the endpoint's connection, they ride the next
+  // command there, or go out on their own once this much of the caller's
+  // `now` has passed (see tick()).
+  static constexpr SimTime kWriteBehindBound = kMillisecond;
+
   ProteusClient(Options options, Backend backend);
+  // Flushes: every queued store is sent and its reply read.
+  ~ProteusClient();
 
   // Algorithm 2 over the wire. `now` is any monotonic microsecond clock
   // (it also drives health and re-probe scheduling). Never blocks longer than
@@ -288,6 +385,8 @@ class ProteusClient {
   // transition ALWAYS completes. Returns false if any digest was skipped.
   bool resize(int n_active, SimTime now);
   void tick(SimTime now);
+  // Barrier: sends every write-behind queue and reads every deferred reply.
+  void flush();
 
   int active_servers() const noexcept { return router_.active(); }
   bool in_transition() const noexcept { return router_.in_transition(); }
@@ -330,6 +429,9 @@ class ProteusClient {
     std::uint64_t quarantine_exits = 0;   // probation probes re-admitted one
     std::uint64_t corrupt_values = 0;     // CRC32C mismatches caught on get
     std::uint64_t read_repairs = 0;       // corrupt hits refilled from the DB
+    // Write-behind observability.
+    std::uint64_t deferred_stores = 0;       // stores queued, not awaited
+    std::uint64_t deferred_store_drops = 0;  // lost with their connection
   };
   const Stats& stats() const noexcept { return stats_; }
 
@@ -366,6 +468,12 @@ class ProteusClient {
     // health's transition counters already surfaced as Stats/trace events.
     std::uint64_t seen_quarantine_enters = 0;
     std::uint64_t seen_quarantine_exits = 0;
+    // Caller's `now` when the connection's write-behind queue last went
+    // non-empty (tick() sends queues older than kWriteBehindBound).
+    SimTime queued_at = 0;
+    // A deferred store was fenced stale-epoch: the next acquire() re-reads
+    // the daemon's view.
+    bool refresh_pending = false;
   };
 
   // kShed: the daemon refused the request (admission control) — the server
@@ -388,6 +496,9 @@ class ProteusClient {
   // quarantined, or reconnect failed — failure already recorded).
   MemcacheConnection* acquire(int server, SimTime now);
   void record_failure(int server, net::NetError error, SimTime now);
+  // record_failure()'s Stats half; true when the error is a hard failure
+  // the health detector must see.
+  bool count_error(net::NetError error);
   void record_success(int server, SimTime now, SimTime latency_us);
   // Diffs the endpoint's quarantine transition counters against Stats and
   // emits the enter/exit trace events for any change the last health call
@@ -416,6 +527,13 @@ class ProteusClient {
   bool cache_set(int server, std::string_view key, std::string_view value,
                  SimTime now, std::uint64_t trace_id = 0,
                  bool background = false);
+  // Algorithm 2's fill / write-back: write-behind to a healthy endpoint,
+  // a synchronous cache_set() to a degraded one (whose health detector
+  // needs the round trip).
+  void store(int server, std::string_view key, std::string_view value,
+             SimTime now, std::uint64_t trace_id, bool background);
+  // Folds the endpoint connection's deferred-store outcomes into Stats.
+  void absorb_deferred(Endpoint& ep);
   // The guarded miss path: backend_ wrapped in the optional singleflight
   // group and AIMD limiter. nullopt = shed (serve the degraded response);
   // `coalesced` reports whether this call piggybacked on another fetch.

@@ -552,6 +552,7 @@ TEST(WireClientReplicatedRule, CleanRingZeroMissNeverProbesRingOne) {
   const int ring0 = location(key, 0, kWireFleet, kWireFleet);
   const int ring1 = location(key, 1, kWireFleet, kWireFleet);
   web.get(key, 0);
+  web.flush();
   ASSERT_TRUE(fleet.connect(ring1).get(key).has_value());
   ASSERT_TRUE(fleet.connect(ring0).erase(key));
   const std::uint64_t ring1_gets = daemon_gets(fleet, ring1);
@@ -577,6 +578,7 @@ TEST(WireClientReplicatedRule, DownPrimaryFailsOverThenConsultsRingZeroFallback)
   EXPECT_EQ(web.stats().degraded_misses, 1u);
   EXPECT_EQ(web.stats().old_server_hits, 1u);
   EXPECT_EQ(web.stats().backend_fetches, 1u);  // only the warm-up fill
+  web.flush();
   EXPECT_TRUE(fleet.connect(m.replica).get(m.key).has_value());
 }
 
@@ -591,6 +593,7 @@ TEST(WireClientReplicatedRule, OldLocationHitWritesBackEveryReplicaLocation) {
   EXPECT_EQ(web.get(m.key, 2 * kSecond), backend_value(m.key));
   EXPECT_EQ(web.stats().old_server_hits, 1u);
   EXPECT_EQ(web.stats().backend_fetches, 1u);
+  web.flush();
   EXPECT_TRUE(fleet.connect(m.primary).get(m.key).has_value());
   EXPECT_TRUE(fleet.connect(m.replica).get(m.key).has_value());
 }
