@@ -18,7 +18,7 @@
 #include "cache/cache_server.h"
 #include "common/check.h"
 #include "common/hash.h"
-#include "hashring/replicated_ring.h"
+#include "hashring/placement.h"
 
 namespace proteus::client {
 

@@ -12,7 +12,7 @@
 // data migrates on demand through Algorithm 2; after TTL the drained
 // servers hold only cold data and power off safely (§IV-A property 2).
 // The resize/finalize protocol is core::TransitionLifecycle, the same one
-// the in-process facades use.
+// the in-process facade uses.
 //
 // With §III-E replication the other rings' locations derive from the same
 // Router's placement and active count (cluster/transition_read.h); only
@@ -49,7 +49,7 @@ class CacheCluster {
         config_(config),
         failed_(static_cast<std::size_t>(tier.num_servers()), false),
         lifecycle_(tier.servers(), std::move(router), config.ttl,
-                   /*trace=*/nullptr, &failed_) {
+                   /*trace=*/nullptr, failed_) {
     // Servers beyond the initial active count start powered off.
     for (int i = router_->active(); i < tier_.num_servers(); ++i) {
       tier_.server(i).power_off();

@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "hashring/replicated_ring.h"
+#include "hashring/placement.h"
 
 namespace proteus::cluster {
 

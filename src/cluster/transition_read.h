@@ -1,5 +1,5 @@
 // The one Algorithm 2 read (§IV-A), generalized over §III-E replica rings,
-// as a sans-I/O step machine. Every front end — the in-process facades,
+// as a sans-I/O step machine. Every front end — the in-process facade,
 // the wire client, and the simulated web tier — drives this same machine
 // and keeps only its transport policy (hedging, retries, health gating,
 // checksums, coalescing, span and stats mapping).
@@ -86,7 +86,8 @@ class TransitionRead {
 
   int primary() const noexcept { return d_.primary; }
   int fallback() const noexcept { return d_.fallback; }
-  // Distinct replica locations under the current mapping, primary first.
+  // Distinct replica locations under the current mapping, primary first:
+  // the fill and write-back targets, and the write set of every put path.
   const int* begin() const noexcept { return locations_.data(); }
   const int* end() const noexcept { return locations_.data() + count_; }
 

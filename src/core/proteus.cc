@@ -1,5 +1,7 @@
 #include "core/proteus.h"
 
+#include <algorithm>
+
 #include "cluster/transition_read.h"
 #include "common/check.h"
 
@@ -9,14 +11,18 @@ Proteus::Proteus(ProteusOptions options, Backend backend)
     : options_(options),
       backend_(std::move(backend)),
       placement_(std::make_shared<ring::ProteusPlacement>(options.max_servers)),
+      failed_(static_cast<std::size_t>(options.max_servers), false),
       lifecycle_(servers_,
                  std::make_shared<cluster::Router>(
                      placement_, options.initial_servers > 0
                                      ? options.initial_servers
                                      : options.max_servers),
-                 options.ttl, options.trace) {
+                 options.ttl, options.trace, failed_),
+      health_(static_cast<std::size_t>(options.max_servers)) {
   PROTEUS_CHECK(backend_ != nullptr);
   PROTEUS_CHECK(options_.max_servers >= 1);
+  PROTEUS_CHECK(options_.replicas >= 1 &&
+                options_.replicas <= cluster::TransitionRead::kMaxReplicas);
   servers_.reserve(static_cast<std::size_t>(options_.max_servers));
   for (int i = 0; i < options_.max_servers; ++i) {
     cache::CacheConfig per_server = options_.per_server;
@@ -32,6 +38,7 @@ Proteus::Proteus(ProteusOptions options, Backend backend)
 }
 
 void Proteus::tick(SimTime now) {
+  last_now_ = now;
   lifecycle_.tick(now);
   // Audit feed rides the tick, at most once per second of `now`, so the
   // per-get cost with auditing off is this one pointer test.
@@ -73,18 +80,36 @@ std::string Proteus::get_inner(std::string_view key, SimTime now,
                                obs::TraceContext& ctx) {
   using Step = cluster::TransitionRead::Step;
   using Reply = cluster::TransitionRead::Reply;
+  using Outcome = cluster::TransitionRead::Outcome;
   tick(now);
   ++stats_.gets;
   const cluster::Router& router = lifecycle_.router();
   cluster::TransitionRead read =
-      cluster::TransitionRead::route(router, key, /*replicas=*/1, ctx);
+      cluster::TransitionRead::route(router, key, options_.replicas, ctx);
   const std::string k(key);
   std::string value;
   for (;;) {
     const Step step = read.next();
     switch (step.kind) {
       case Step::Kind::kGet: {
+        // The current mapping's locations pass the health machine; an old
+        // location is read whenever it is still up.
+        const bool current = step.role != obs::SpanKind::kMigrationFetch;
+        if (current ? !admit(step.server, now) : !usable(step.server)) {
+          // Crashed, powered off, or health-quarantined — skipped either way.
+          if (current) ++stats_.failed_server_skips;
+          if (ctx.active()) {
+            ctx.child(obs::span_clock_now(), step.role, step.server,
+                      obs::SpanCause::kDown, key);
+          }
+          read.on_get(Reply::kDown);
+          break;
+        }
         auto hit = mutable_server(step.server).get(k, now);
+        if (current) {  // a miss is healthy too
+          health_[static_cast<std::size_t>(step.server)].record_success(
+              now, 0, rng_);
+        }
         if (ctx.active()) {
           ctx.child(obs::span_clock_now(), step.role, step.server,
                     hit ? obs::SpanCause::kHit : obs::SpanCause::kMiss, key);
@@ -101,7 +126,9 @@ std::string Proteus::get_inner(std::string_view key, SimTime now,
         break;
       case Step::Kind::kStore:
         for (int server : read) {
-          mutable_server(server).set(k, value, now, charge_for(value));
+          if (usable(server)) {
+            mutable_server(server).set(k, value, now, charge_for(value));
+          }
         }
         if (ctx.active()) {
           ctx.child(obs::span_clock_now(), step.role, read.primary(),
@@ -139,12 +166,9 @@ std::string Proteus::get_inner(std::string_view key, SimTime now,
         read.on_backend(cluster::TransitionRead::Fetch::kFetched);
         break;
       case Step::Kind::kDone:
-        if (read.outcome() == cluster::TransitionRead::Outcome::kNewHit) {
-          ++stats_.new_server_hits;
-        } else if (read.outcome() ==
-                   cluster::TransitionRead::Outcome::kOldHit) {
-          ++stats_.old_server_hits;
-        }
+        if (read.outcome() == Outcome::kNewHit) ++stats_.new_server_hits;
+        if (read.outcome() == Outcome::kFailoverHit) ++stats_.failover_hits;
+        if (read.outcome() == Outcome::kOldHit) ++stats_.old_server_hits;
         if (read.deferred()) {
           // The throttle kept the write-back from competing with foreground
           // traffic; the hit is still served from the old location.
@@ -166,7 +190,10 @@ std::string Proteus::get_inner(std::string_view key, SimTime now,
 void Proteus::put(std::string_view key, std::string value, SimTime now) {
   tick(now);
   ++stats_.puts;
-  const cluster::Router::Decision d = lifecycle_.router().decide(key);
+  const cluster::Router& router = lifecycle_.router();
+  // The write set is exactly the locations a read of `key` looks at.
+  const cluster::TransitionRead locations(router, router.decide(key), key,
+                                          options_.replicas);
   const std::string k(key);
   const std::size_t charge = charge_for(value);
   // Invalidate every other powered location first. Besides the in-flight
@@ -176,29 +203,48 @@ void Proteus::put(std::string_view key, std::string value, SimTime now) {
   // such a copy would resurrect a stale value. Write-through with global
   // invalidation keeps reads exactly as fresh as the backend.
   for (int i = 0; i < options_.max_servers; ++i) {
-    if (i != d.primary &&
-        servers_[static_cast<std::size_t>(i)]->power_state() !=
-            cache::PowerState::kOff) {
+    if (powered(i) &&
+        std::find(locations.begin(), locations.end(), i) == locations.end()) {
       mutable_server(i).erase(k);
     }
   }
-  mutable_server(d.primary).set(k, std::move(value), now, charge);
+  for (int server : locations) {
+    if (usable(server)) mutable_server(server).set(k, value, now, charge);
+  }
 }
 
 void Proteus::erase(std::string_view key, SimTime now) {
   tick(now);
   const std::string k(key);
   for (int i = 0; i < options_.max_servers; ++i) {
-    if (servers_[static_cast<std::size_t>(i)]->power_state() !=
-        cache::PowerState::kOff) {
-      mutable_server(i).erase(k);
-    }
+    if (powered(i)) mutable_server(i).erase(k);
   }
 }
 
 void Proteus::resize(int n_active, SimTime now) {
   tick(now);
   if (lifecycle_.resize(n_active, now)) ++stats_.resizes;
+}
+
+void Proteus::fail_server(int server) {
+  PROTEUS_CHECK(server >= 0 && server < options_.max_servers);
+  if (failed_[static_cast<std::size_t>(server)]) return;
+  failed_[static_cast<std::size_t>(server)] = true;
+  // The membership layer declared the server dead: quarantine the routing
+  // detector immediately rather than waiting for errors to accrue.
+  health_[static_cast<std::size_t>(server)].force_quarantine(last_now_, rng_);
+  // A crash loses the in-memory cache (§III-A).
+  if (powered(server)) mutable_server(server).power_off();
+}
+
+void Proteus::recover_server(int server) {
+  PROTEUS_CHECK(server >= 0 && server < options_.max_servers);
+  if (!failed_[static_cast<std::size_t>(server)]) return;
+  failed_[static_cast<std::size_t>(server)] = false;
+  // Operator re-admission: skip the probe dwell, prove health in probation.
+  health_[static_cast<std::size_t>(server)].begin_probation();
+  // Rejoin cold if the server is inside the active set.
+  if (server < active_servers()) mutable_server(server).power_on();
 }
 
 int Proteus::powered_servers() const noexcept {
@@ -229,6 +275,12 @@ void Proteus::register_metrics(obs::MetricsRegistry& registry) const {
   stat("proteus_old_server_hits_total",
        "on-demand migrations (Algorithm 2 line 12)",
        [](const ProteusStats& s) { return s.old_server_hits; });
+  stat("proteus_failover_hits_total",
+       "served by a SS III-E replica while the ring-0 primary was down",
+       [](const ProteusStats& s) { return s.failover_hits; });
+  stat("proteus_failed_server_skips_total",
+       "current-mapping locations skipped: crashed, off or quarantined",
+       [](const ProteusStats& s) { return s.failed_server_skips; });
   stat("proteus_backend_fetches_total", "authoritative-store fetches",
        [](const ProteusStats& s) { return s.backend_fetches; });
   stat("proteus_digest_false_positives_total",

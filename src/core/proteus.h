@@ -8,6 +8,19 @@
 //   * Algorithm 2 smooth transitions (counting-Bloom digests + on-demand
 //     hot-data migration; shrunk servers drain for TTL, then power off).
 //
+// With `replicas` = r > 1 it keeps r copies of every (key, data) pair on r
+// hash rings that share the Algorithm 1 placement (§III-E). Reads follow
+// the one Algorithm 2 rule (cluster/transition_read.h): ring 0 first, the
+// other rings' locations only while the ring-0 primary is down. At r = 1
+// the facade is exactly the base design.
+//
+// Failure model, at every r: fail_server() emulates a crash — the server's
+// memory (and digest) is lost and routing skips it until recover_server().
+// Each server also carries the phi-accrual EndpointHealth detector the wire
+// client routes by (core/endpoint_health.h): fail_server() force-
+// quarantines it, recover_server() drops it into probation, and the read
+// path skips quarantined servers.
+//
 // Typical use (see examples/quickstart.cc):
 //
 //   proteus::ProteusOptions opt;
@@ -31,7 +44,9 @@
 #include <vector>
 
 #include "cache/cache_server.h"
+#include "common/rng.h"
 #include "common/time.h"
+#include "core/endpoint_health.h"
 #include "core/overload.h"
 #include "core/transition_lifecycle.h"
 #include "hashring/migration_plan.h"
@@ -46,6 +61,8 @@ namespace proteus {
 struct ProteusOptions {
   int max_servers = 10;
   int initial_servers = 0;  // 0 -> max_servers
+  // r of §III-E: replica rings, 1..cluster::TransitionRead::kMaxReplicas.
+  int replicas = 1;
   cache::CacheConfig per_server;
   SimTime ttl = 60 * kSecond;  // hotness window / drain duration
   // Accounting charge for values written through the miss path; 0 charges
@@ -87,6 +104,11 @@ struct ProteusStats {
   std::uint64_t gets = 0;
   std::uint64_t new_server_hits = 0;
   std::uint64_t old_server_hits = 0;   // on-demand migrations (Algorithm 2)
+  // Served by a ring >= 1 replica while the ring-0 primary was down.
+  std::uint64_t failover_hits = 0;
+  // Current-mapping locations the read skipped: crashed, powered off or
+  // quarantined by their health detector.
+  std::uint64_t failed_server_skips = 0;
   std::uint64_t backend_fetches = 0;
   std::uint64_t digest_false_positives = 0;
   // §IV-B false negatives, observed: the digest reported a key cold during
@@ -105,7 +127,8 @@ struct ProteusStats {
   std::uint64_t journal_transitions_resumed = 0;
 
   double hit_ratio() const noexcept {
-    return gets ? static_cast<double>(new_server_hits + old_server_hits) /
+    return gets ? static_cast<double>(new_server_hits + failover_hits +
+                                      old_server_hits) /
                       static_cast<double>(gets)
                 : 0.0;
   }
@@ -123,13 +146,23 @@ class Proteus {
   // backend only when the key is neither on its new nor old cache server.
   std::string get(std::string_view key, SimTime now);
 
-  // Explicit write: stores on the key's current primary and, during a
-  // transition, invalidates the old location so readers cannot see the
-  // overwritten value there.
+  // Explicit write: stores on the key's live replica locations under the
+  // current mapping (the locations a read looks at) after invalidating
+  // every other powered server, so no reader can see an overwritten value.
   void put(std::string_view key, std::string value, SimTime now);
 
   // Remove a key from wherever it may live.
   void erase(std::string_view key, SimTime now);
+
+  // Crash / recovery injection. fail_server force-quarantines the server's
+  // health detector; recover_server re-admits it through probation.
+  void fail_server(int server);
+  void recover_server(int server);
+  bool is_failed(int server) const { return failed_.at(static_cast<std::size_t>(server)); }
+  // The phi-accrual detector routing consults for `server`.
+  const core::EndpointHealth& health(int server) const {
+    return health_.at(static_cast<std::size_t>(server));
+  }
 
   // Provisioning actuation with a smooth transition. Growing powers servers
   // on immediately; shrinking drains the leaving servers until now + ttl.
@@ -142,6 +175,7 @@ class Proteus {
   int active_servers() const noexcept { return lifecycle_.router().active(); }
   int powered_servers() const noexcept;
   int max_servers() const noexcept { return options_.max_servers; }
+  int replicas() const noexcept { return options_.replicas; }
   bool in_transition() const noexcept {
     return lifecycle_.router().in_transition();
   }
@@ -175,6 +209,20 @@ class Proteus {
 
  private:
   cache::CacheServer& mutable_server(int i) { return *servers_[static_cast<std::size_t>(i)]; }
+  bool powered(int server) const {
+    return servers_[static_cast<std::size_t>(server)]->power_state() !=
+           cache::PowerState::kOff;
+  }
+  bool usable(int server) const {
+    return !failed_[static_cast<std::size_t>(server)] && powered(server);
+  }
+  // The read path's routing gate: power/crash state AND the health machine
+  // (quarantined servers are skipped until their probe dwell elapses; the
+  // admitting call itself opens probation).
+  bool admit(int server, SimTime now) {
+    return usable(server) &&
+           health_[static_cast<std::size_t>(server)].allow(now);
+  }
   // get() minus the trace envelope.
   std::string get_inner(std::string_view key, SimTime now,
                         obs::TraceContext& ctx);
@@ -188,7 +236,11 @@ class Proteus {
   Backend backend_;
   std::shared_ptr<const ring::ProteusPlacement> placement_;
   std::vector<std::unique_ptr<cache::CacheServer>> servers_;
+  std::vector<bool> failed_;  // the lifecycle's skip set
   core::TransitionLifecycle lifecycle_;
+  std::vector<core::EndpointHealth> health_;  // routing signal per server
+  Rng rng_{0x9e3779b97f4a7c15ULL};  // probe-dwell jitter, deterministic
+  SimTime last_now_ = 0;  // latest caller clock, for clock-less injections
   ProteusStats stats_;
   SimTime last_audit_feed_ = 0;
 };

@@ -9,7 +9,7 @@ namespace proteus::core {
 
 TransitionLifecycle::TransitionLifecycle(
     Servers& servers, std::shared_ptr<cluster::Router> router, SimTime ttl,
-    obs::TraceSink* trace, const std::vector<bool>* skip)
+    obs::TraceSink* trace, const std::vector<bool>& skip)
     : servers_(servers),
       router_(std::move(router)),
       ttl_(ttl),

@@ -1,6 +1,6 @@
 // The provisioning side of a smooth transition (§IV-A), shared by the
-// in-process facades (Proteus, ReplicatedProteus) and the simulated cache
-// cluster (cluster::CacheCluster):
+// in-process facade (Proteus) and the simulated cache cluster
+// (cluster::CacheCluster):
 //
 //   * resize: bump the fencing epoch, journal the plan ahead of acting on
 //     it, snapshot and broadcast the old-mapping digests, power the joining
@@ -10,8 +10,8 @@
 //   * replay: at construction, resume (or roll forward) the transition an
 //     earlier incarnation left pending in the journal.
 //
-// The servers belong to the caller; servers in the optional skip set
-// (crashed servers) are never powered, drained or snapshotted.
+// The servers belong to the caller; servers in the skip set (crashed
+// servers) are never powered, drained or snapshotted.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +32,11 @@ class TransitionLifecycle {
   using Servers = std::vector<std::unique_ptr<cache::CacheServer>>;
 
   // `router` is the mapping the transitions switch (shared with whoever
-  // routes by it). `servers` and `skip` (null = skip nothing) must outlive
-  // this object; `skip`, when set, has one entry per server.
+  // routes by it). `servers` and `skip` must outlive this object; `skip`
+  // has one entry per server.
   TransitionLifecycle(Servers& servers, std::shared_ptr<cluster::Router> router,
                       SimTime ttl, obs::TraceSink* trace,
-                      const std::vector<bool>* skip = nullptr);
+                      const std::vector<bool>& skip);
 
   struct Replay {
     std::uint64_t records = 0;  // journal records replayed
@@ -61,7 +61,7 @@ class TransitionLifecycle {
 
  private:
   bool skipped(int server) const {
-    return skip_ != nullptr && (*skip_)[static_cast<std::size_t>(server)];
+    return skip_[static_cast<std::size_t>(server)];
   }
   int max_servers() const noexcept { return static_cast<int>(servers_.size()); }
   cache::CacheServer& server(int i) { return *servers_[static_cast<std::size_t>(i)]; }
@@ -71,7 +71,7 @@ class TransitionLifecycle {
   std::shared_ptr<cluster::Router> router_;
   SimTime ttl_;
   obs::TraceSink* trace_;
-  const std::vector<bool>* skip_;
+  const std::vector<bool>& skip_;
   std::vector<int> draining_;
   TransitionJournal journal_;
   std::uint64_t epoch_ = 0;

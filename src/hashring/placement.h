@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/hash.h"
+
 namespace proteus::ring {
 
 using KeyHash = std::uint64_t;
@@ -21,6 +23,18 @@ inline constexpr std::uint64_t kRingSpace = 1ULL << 62;
 
 inline constexpr std::uint64_t ring_position(KeyHash h) noexcept {
   return h >> 2;  // uniform fold of a 64-bit hash into [0, 2^62)
+}
+
+// Fault-tolerant replication (§III-E) runs r rings that SHARE one
+// placement but hash keys with r different hash functions: ring r's
+// location of a key is server_for(replica_ring_hash(h, r), n). Ring 0 uses
+// the key hash unchanged, so one replica is exactly the bare placement;
+// ring i >= 1 re-mixes with a ring-specific seed. Eq. (3) gives the
+// probability that the r locations are r distinct servers.
+inline KeyHash replica_ring_hash(KeyHash key_hash, int ring) noexcept {
+  return ring == 0 ? key_hash
+                   : hash_u64(key_hash,
+                              0xabcd1234u + static_cast<std::uint64_t>(ring));
 }
 
 class PlacementStrategy {

@@ -22,7 +22,6 @@
 #include "client/memcache_client.h"
 #include "common/hash.h"
 #include "core/proteus.h"
-#include "core/replicated_proteus.h"
 #include "core/transition_journal.h"
 #include "hashring/proteus_placement.h"
 #include "net/memcache_daemon.h"
@@ -122,7 +121,7 @@ TEST(TransitionJournalTest, RollsForwardWhenCrashOutlivedDrainWindow) {
 
 TEST(TransitionJournalTest, ReplicatedFacadeResumesFromJournal) {
   const std::string path = journal_path_for("ReplicatedFacadeResumes");
-  ReplicatedOptions opt;
+  ProteusOptions opt;
   opt.max_servers = 4;
   opt.replicas = 2;
   opt.per_server.memory_budget_bytes = 4 << 20;
@@ -130,13 +129,13 @@ TEST(TransitionJournalTest, ReplicatedFacadeResumesFromJournal) {
   opt.journal_path = path;
 
   {
-    ReplicatedProteus a(opt, backend_of);
+    Proteus a(opt, backend_of);
     for (int i = 0; i < 50; ++i) a.get("key:" + std::to_string(i), 0);
     a.resize(2, kSecond);
     ASSERT_TRUE(a.in_transition());
   }
 
-  ReplicatedProteus b(opt, backend_of);
+  Proteus b(opt, backend_of);
   EXPECT_TRUE(b.in_transition());
   EXPECT_EQ(b.cluster_epoch(), 1u);
   for (int i = 0; i < 50; ++i) {

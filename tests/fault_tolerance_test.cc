@@ -13,7 +13,7 @@
 
 #include "client/memcache_client.h"
 #include "common/hash.h"
-#include "hashring/replicated_ring.h"
+#include "hashring/placement.h"
 #include "net/fault_injector.h"
 #include "net/memcache_daemon.h"
 

@@ -20,7 +20,6 @@
 
 #include "client/memcache_client.h"
 #include "common/hash.h"
-#include "hashring/replicated_ring.h"
 #include "net/fault_injector.h"
 #include "net/memcache_daemon.h"
 #include "obs/span.h"

@@ -1,15 +1,20 @@
-#include "core/replicated_proteus.h"
+// The §III-E replica rings on the one Proteus facade: ProteusOptions::
+// replicas = r, crash injection and health-gated failover at every r.
+#include "core/proteus.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <vector>
+
+#include "common/hash.h"
 
 namespace proteus {
 namespace {
 
-ReplicatedOptions small_options(int replicas = 2) {
-  ReplicatedOptions opt;
+ProteusOptions small_options(int replicas = 2) {
+  ProteusOptions opt;
   opt.max_servers = 10;
   opt.replicas = replicas;
   opt.per_server.memory_budget_bytes = 8 << 20;
@@ -21,6 +26,18 @@ ReplicatedOptions small_options(int replicas = 2) {
   return opt;
 }
 
+// All replica locations of `key` under the current mapping, by ring (may
+// contain duplicates — the Eq. 3 conflict case).
+std::vector<int> replica_servers(const Proteus& cluster, std::string_view key) {
+  const std::uint64_t h = hash_bytes(key);
+  std::vector<int> out;
+  for (int r = 0; r < cluster.replicas(); ++r) {
+    out.push_back(cluster.placement().server_for(ring::replica_ring_hash(h, r),
+                                                 cluster.active_servers()));
+  }
+  return out;
+}
+
 struct CountingBackend {
   std::uint64_t calls = 0;
   std::string operator()(std::string_view key) {
@@ -29,28 +46,28 @@ struct CountingBackend {
   }
 };
 
-TEST(ReplicatedProteus, MissPathPopulatesAllReplicaLocations) {
+TEST(ProteusReplicas, MissPathPopulatesAllReplicaLocations) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(3), std::ref(backend));
+  Proteus cluster(small_options(3), std::ref(backend));
   EXPECT_EQ(cluster.get("page:1", 0), "v:page:1");
   EXPECT_EQ(backend.calls, 1u);
-  for (int server : cluster.replica_servers("page:1")) {
+  for (int server : replica_servers(cluster, "page:1")) {
     EXPECT_TRUE(cluster.server(server).contains("page:1", 0)) << server;
   }
 }
 
-TEST(ReplicatedProteus, SecondGetHitsPrimaryRing) {
+TEST(ProteusReplicas, SecondGetHitsPrimaryRing) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(), std::ref(backend));
+  Proteus cluster(small_options(), std::ref(backend));
   cluster.get("k", 0);
   cluster.get("k", 1);
-  EXPECT_EQ(cluster.stats().primary_ring_hits, 1u);
+  EXPECT_EQ(cluster.stats().new_server_hits, 1u);
   EXPECT_EQ(backend.calls, 1u);
 }
 
-TEST(ReplicatedProteus, SingleFailureServedByReplica) {
+TEST(ProteusReplicas, SingleFailureServedByReplica) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   for (int i = 0; i < 400; ++i) cluster.get("page:" + std::to_string(i), 0);
   ASSERT_EQ(backend.calls, 400u);
 
@@ -61,18 +78,18 @@ TEST(ReplicatedProteus, SingleFailureServedByReplica) {
   cluster.fail_server(3);
   const auto before = backend.calls;
   for (int i = 0; i < 400; ++i) cluster.get("page:" + std::to_string(i), kSecond);
-  EXPECT_GT(cluster.stats().replica_ring_hits, 10u);
+  EXPECT_GT(cluster.stats().failover_hits, 10u);
   EXPECT_LE(backend.calls - before, 10u);  // conflicts only (~1/10 of 1/10)
 }
 
-TEST(ReplicatedProteus, ReadRepairAfterFailover) {
+TEST(ProteusReplicas, ReadRepairAfterFailover) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   // Find a key whose two replicas live on different servers.
   std::string key;
   for (int i = 0; i < 200; ++i) {
     const std::string candidate = "page:" + std::to_string(i);
-    const auto servers = cluster.replica_servers(candidate);
+    const auto servers = replica_servers(cluster, candidate);
     if (servers[0] != servers[1]) {
       key = candidate;
       break;
@@ -80,22 +97,22 @@ TEST(ReplicatedProteus, ReadRepairAfterFailover) {
   }
   ASSERT_FALSE(key.empty());
   cluster.get(key, 0);
-  const int ring0_server = cluster.replica_servers(key)[0];
+  const int ring0_server = replica_servers(cluster, key)[0];
 
   cluster.fail_server(ring0_server);
   cluster.get(key, kSecond);  // served by ring 1
-  EXPECT_EQ(cluster.stats().replica_ring_hits, 1u);
+  EXPECT_EQ(cluster.stats().failover_hits, 1u);
 
   cluster.recover_server(ring0_server);
   cluster.get(key, 2 * kSecond);  // read-repairs the recovered server
   EXPECT_TRUE(cluster.server(ring0_server).contains(key, 2 * kSecond));
 }
 
-TEST(ReplicatedProteus, AllReplicasFailedFallsToBackend) {
+TEST(ProteusReplicas, AllReplicasFailedFallsToBackend) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   cluster.get("k", 0);
-  const auto servers = cluster.replica_servers("k");
+  const auto servers = replica_servers(cluster, "k");
   for (int s : servers) cluster.fail_server(s);
   const auto before = backend.calls;
   EXPECT_EQ(cluster.get("k", kSecond), "v:k");
@@ -103,12 +120,12 @@ TEST(ReplicatedProteus, AllReplicasFailedFallsToBackend) {
   EXPECT_GT(cluster.stats().failed_server_skips, 0u);
 }
 
-TEST(ReplicatedProteus, PutWritesAllReplicas) {
-  ReplicatedProteus cluster(small_options(3),
-                            [](std::string_view) { return std::string("db"); });
+TEST(ProteusReplicas, PutWritesAllReplicas) {
+  Proteus cluster(small_options(3),
+                  [](std::string_view) { return std::string("db"); });
   cluster.put("k", "fresh", 0);
   std::set<int> distinct;
-  for (int s : cluster.replica_servers("k")) {
+  for (int s : replica_servers(cluster, "k")) {
     distinct.insert(s);
     auto v = const_cast<cache::CacheServer&>(cluster.server(s)).get("k", 0);
     ASSERT_TRUE(v.has_value()) << s;
@@ -117,9 +134,9 @@ TEST(ReplicatedProteus, PutWritesAllReplicas) {
   EXPECT_GE(distinct.size(), 2u);
 }
 
-TEST(ReplicatedProteus, SmoothResizePreservesHotDataPerRing) {
+TEST(ProteusReplicas, SmoothResizePreservesHotDataPerRing) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   for (int i = 0; i < 300; ++i) cluster.get("page:" + std::to_string(i), 0);
   const auto before = backend.calls;
   cluster.resize(5, kSecond);
@@ -130,9 +147,9 @@ TEST(ReplicatedProteus, SmoothResizePreservesHotDataPerRing) {
   EXPECT_EQ(backend.calls, before) << "replicated shrink caused a miss storm";
 }
 
-TEST(ReplicatedProteus, ResizePlusFailureStillNoBackendStorm) {
+TEST(ProteusReplicas, ResizePlusFailureStillNoBackendStorm) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   for (int i = 0; i < 300; ++i) cluster.get("page:" + std::to_string(i), 0);
   cluster.resize(6, kSecond);
   cluster.fail_server(2);
@@ -143,9 +160,9 @@ TEST(ReplicatedProteus, ResizePlusFailureStillNoBackendStorm) {
   EXPECT_LT(backend.calls - before, 40u);
 }
 
-TEST(ReplicatedProteus, TransitionFinalizesAfterTtl) {
-  ReplicatedProteus cluster(small_options(2),
-                            [](std::string_view) { return std::string("v"); });
+TEST(ProteusReplicas, TransitionFinalizesAfterTtl) {
+  Proteus cluster(small_options(2),
+                  [](std::string_view) { return std::string("v"); });
   cluster.resize(4, 0);
   EXPECT_TRUE(cluster.in_transition());
   cluster.tick(11 * kSecond);
@@ -155,9 +172,9 @@ TEST(ReplicatedProteus, TransitionFinalizesAfterTtl) {
   }
 }
 
-TEST(ReplicatedProteus, FailedServerExcludedFromResizePowerOn) {
-  ReplicatedProteus cluster(small_options(2),
-                            [](std::string_view) { return std::string("v"); });
+TEST(ProteusReplicas, FailedServerExcludedFromResizePowerOn) {
+  Proteus cluster(small_options(2),
+                  [](std::string_view) { return std::string("v"); });
   cluster.resize(4, 0);
   cluster.tick(11 * kSecond);
   cluster.fail_server(6);
@@ -168,12 +185,12 @@ TEST(ReplicatedProteus, FailedServerExcludedFromResizePowerOn) {
   for (int i = 0; i < 100; ++i) cluster.get("k" + std::to_string(i), 13 * kSecond);
 }
 
-TEST(ReplicatedProteus, EraseRemovesEveryCopy) {
+TEST(ProteusReplicas, EraseRemovesEveryCopy) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(3), std::ref(backend));
+  Proteus cluster(small_options(3), std::ref(backend));
   cluster.get("k", 0);
   cluster.erase("k", 1);
-  for (int s : cluster.replica_servers("k")) {
+  for (int s : replica_servers(cluster, "k")) {
     EXPECT_FALSE(cluster.server(s).contains("k", 1)) << s;
   }
   const auto before = backend.calls;
@@ -181,28 +198,54 @@ TEST(ReplicatedProteus, EraseRemovesEveryCopy) {
   EXPECT_EQ(backend.calls, before + 1);
 }
 
-TEST(ReplicatedProteus, ConflictRateMatchesEq3) {
-  ReplicatedProteus cluster(small_options(2),
-                            [](std::string_view) { return std::string("v"); });
-  int conflicts = 0;
-  constexpr int kKeys = 5000;
-  for (int i = 0; i < kKeys; ++i) {
-    const auto servers = cluster.replica_servers("page:" + std::to_string(i));
-    conflicts += servers[0] == servers[1];
-  }
-  // Eq. (3): P(conflict) = 1 - Pnc = 1/n = 0.1 at n=10.
-  EXPECT_NEAR(static_cast<double>(conflicts) / kKeys, 0.1, 0.02);
-}
-
-TEST(ReplicatedProteus, SingleReplicaDegeneratesToPlainProteus) {
+TEST(ProteusReplicas, SingleReplicaDegeneratesToPlainProteus) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(1), std::ref(backend));
+  Proteus cluster(small_options(1), std::ref(backend));
   for (int i = 0; i < 100; ++i) cluster.get("k" + std::to_string(i), 0);
   EXPECT_EQ(backend.calls, 100u);
   for (int i = 0; i < 100; ++i) cluster.get("k" + std::to_string(i), 1);
   EXPECT_EQ(backend.calls, 100u);
-  EXPECT_EQ(cluster.stats().primary_ring_hits, 100u);
-  EXPECT_EQ(cluster.stats().replica_ring_hits, 0u);
+  EXPECT_EQ(cluster.stats().new_server_hits, 100u);
+  EXPECT_EQ(cluster.stats().failover_hits, 0u);
+}
+
+TEST(ProteusReplicas, SingleReplicaFailAndRecoverServer) {
+  CountingBackend backend;
+  Proteus cluster(small_options(1), std::ref(backend));
+  const std::string key = "page:7";
+  const int primary = replica_servers(cluster, key)[0];
+  cluster.get(key, 0);
+  const std::uint64_t sets = cluster.server(primary).stats().sets;
+
+  cluster.fail_server(primary);
+  EXPECT_TRUE(cluster.is_failed(primary));
+  EXPECT_EQ(cluster.health(primary).state(),
+            core::EndpointHealth::State::kQuarantined);
+  // No replica to fail over to: the read skips the crashed primary, goes
+  // to the backend, and fills nothing on the crashed server.
+  const auto before = backend.calls;
+  EXPECT_EQ(cluster.get(key, kSecond), "v:" + key);
+  EXPECT_EQ(backend.calls, before + 1);
+  EXPECT_EQ(cluster.stats().failed_server_skips, 1u);
+  EXPECT_EQ(cluster.server(primary).power_state(), cache::PowerState::kOff);
+  EXPECT_EQ(cluster.server(primary).stats().sets, sets);
+  // Nor does a write.
+  cluster.put(key, "fresh", 2 * kSecond);
+  EXPECT_EQ(cluster.server(primary).stats().sets, sets);
+
+  // Recovery re-admits the server cold through probation; the next get's
+  // backend fill repopulates it, and the one after hits it.
+  cluster.recover_server(primary);
+  EXPECT_FALSE(cluster.is_failed(primary));
+  EXPECT_EQ(cluster.health(primary).state(),
+            core::EndpointHealth::State::kProbation);
+  EXPECT_EQ(cluster.get(key, 3 * kSecond), "v:" + key);
+  EXPECT_EQ(backend.calls, before + 2);
+  EXPECT_TRUE(cluster.server(primary).contains(key, 3 * kSecond));
+  const std::uint64_t hits = cluster.stats().new_server_hits;
+  EXPECT_EQ(cluster.get(key, 4 * kSecond), "v:" + key);
+  EXPECT_EQ(cluster.stats().new_server_hits, hits + 1);
+  EXPECT_EQ(cluster.stats().failed_server_skips, 1u);
 }
 
 }  // namespace

@@ -1,60 +1,63 @@
-#include "hashring/replicated_ring.h"
-
+// §III-E replica rings: r rings share one Algorithm 1 placement, and ring
+// r's location of a key is server_for(replica_ring_hash(h, r), n).
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
+#include "hashring/placement.h"
 #include "hashring/proteus_placement.h"
 
 namespace proteus::ring {
 namespace {
 
-TEST(ReplicatedRing, SingleReplicaMatchesBarePlacement) {
-  auto placement = std::make_shared<ProteusPlacement>(10);
-  ReplicatedRing ring(placement, 1);
+// The r ring locations of `key_hash` with n active servers, by ring (may
+// contain duplicates — the conflict case of Eq. 3).
+std::vector<int> servers_for(const PlacementStrategy& placement,
+                             std::uint64_t key_hash, int n_active,
+                             int replicas) {
+  std::vector<int> out;
+  for (int r = 0; r < replicas; ++r) {
+    out.push_back(
+        placement.server_for(replica_ring_hash(key_hash, r), n_active));
+  }
+  return out;
+}
+
+TEST(ReplicaRings, SingleReplicaMatchesBarePlacement) {
+  const ProteusPlacement placement(10);
   Rng rng(1);
   for (int i = 0; i < 5000; ++i) {
     const std::uint64_t h = rng.next_u64();
     for (int n : {1, 5, 10}) {
-      const auto servers = ring.servers_for(h, n);
+      const auto servers = servers_for(placement, h, n, 1);
       ASSERT_EQ(servers.size(), 1u);
-      ASSERT_EQ(servers[0], placement->server_for(h, n));
-      ASSERT_EQ(ring.primary_for(h, n), servers[0]);
+      ASSERT_EQ(servers[0], placement.server_for(h, n));
     }
   }
 }
 
-TEST(ReplicatedRing, ReturnsRequestedReplicaCount) {
-  auto placement = std::make_shared<ProteusPlacement>(10);
-  ReplicatedRing ring(placement, 3);
-  EXPECT_EQ(ring.replicas(), 3);
-  EXPECT_EQ(ring.servers_for(12345, 10).size(), 3u);
-}
-
-TEST(ReplicatedRing, ReplicaSelectionIsDeterministic) {
-  auto placement = std::make_shared<ProteusPlacement>(10);
-  ReplicatedRing a(placement, 3);
-  ReplicatedRing b(placement, 3);
+TEST(ReplicaRings, ReplicaSelectionIsDeterministic) {
+  const ProteusPlacement a(10);
+  const ProteusPlacement b(10);
   Rng rng(2);
   for (int i = 0; i < 1000; ++i) {
     const std::uint64_t h = rng.next_u64();
-    EXPECT_EQ(a.servers_for(h, 8), b.servers_for(h, 8));
+    EXPECT_EQ(servers_for(a, h, 8, 3), servers_for(b, h, 8, 3));
   }
 }
 
-TEST(ReplicatedRing, ConflictRateMatchesEq3) {
+TEST(ReplicaRings, ConflictRateMatchesEq3) {
   // Measure the fraction of keys whose r replicas land on r distinct
   // servers; §III-E predicts Pnc = prod (n-i)/n.
-  auto placement = std::make_shared<ProteusPlacement>(10);
+  const ProteusPlacement placement(10);
   for (int r : {2, 3}) {
-    ReplicatedRing ring(placement, r);
     Rng rng(3);
     int distinct = 0;
     constexpr int kSamples = 100'000;
     for (int i = 0; i < kSamples; ++i) {
-      const auto servers = ring.servers_for(rng.next_u64(), 10);
+      const auto servers = servers_for(placement, rng.next_u64(), 10, r);
       const std::set<int> unique(servers.begin(), servers.end());
       distinct += unique.size() == servers.size();
     }
@@ -65,14 +68,13 @@ TEST(ReplicatedRing, ConflictRateMatchesEq3) {
   }
 }
 
-TEST(ReplicatedRing, EachRingIsIndividuallyBalanced) {
-  auto placement = std::make_shared<ProteusPlacement>(10);
-  ReplicatedRing ring(placement, 2);
+TEST(ReplicaRings, EachRingIsIndividuallyBalanced) {
+  const ProteusPlacement placement(10);
   Rng rng(4);
   std::vector<int> counts(10, 0);
   constexpr int kSamples = 100'000;
   for (int i = 0; i < kSamples; ++i) {
-    for (int s : ring.servers_for(rng.next_u64(), 10)) {
+    for (int s : servers_for(placement, rng.next_u64(), 10, 2)) {
       ++counts[static_cast<std::size_t>(s)];
     }
   }
@@ -80,12 +82,11 @@ TEST(ReplicatedRing, EachRingIsIndividuallyBalanced) {
   for (int c : counts) EXPECT_NEAR(c, expected, expected * 0.05);
 }
 
-TEST(ReplicatedRing, ReplicasStayWithinActiveSet) {
-  auto placement = std::make_shared<ProteusPlacement>(10);
-  ReplicatedRing ring(placement, 3);
+TEST(ReplicaRings, ReplicasStayWithinActiveSet) {
+  const ProteusPlacement placement(10);
   Rng rng(5);
   for (int i = 0; i < 10'000; ++i) {
-    for (int s : ring.servers_for(rng.next_u64(), 4)) {
+    for (int s : servers_for(placement, rng.next_u64(), 4, 3)) {
       ASSERT_GE(s, 0);
       ASSERT_LT(s, 4);
     }
